@@ -140,25 +140,35 @@ def chromatic_number(g: Graph, upper_bound: int | None = None) -> tuple[int, Col
         best_colors = None
 
     colors = [0] * n
+    # One frame per colored vertex, in search order: [vertex, colors used
+    # before it, colors of its neighbors, highest color to try, color now].
+    frames: list[list] = []
+    used = 0
+    while True:
+        idx = len(frames)
+        if used < best:
+            if idx == n:
+                best = used
+                best_colors = colors[:]
+            else:
+                v = order[idx]
+                taken = {colors[u] for u in adj[v]}
+                frames.append([v, used, taken, min(used + 1, best - 1), 0])
+        while frames:
+            frame = frames[-1]
+            v, before, taken, limit, c = frame
+            c += 1
+            while c <= limit and c in taken:
+                c += 1
+            if c <= limit:
+                frame[4] = colors[v] = c
+                used = max(before, c)
+                break
+            colors[v] = 0
+            frames.pop()
+        else:
+            break
 
-    def search(idx: int, used: int) -> None:
-        nonlocal best, best_colors
-        if used >= best:
-            return
-        if idx == n:
-            best = used
-            best_colors = colors[:]
-            return
-        v = order[idx]
-        taken = {colors[u] for u in adj[v]}
-        limit = min(used + 1, best - 1)
-        for c in range(1, limit + 1):
-            if c not in taken:
-                colors[v] = c
-                search(idx + 1, max(used, c))
-                colors[v] = 0
-
-    search(0, 0)
     if best_colors is None or (upper_bound is not None and best > upper_bound):
         return None
     return best, Coloring(tuple(best_colors), best)

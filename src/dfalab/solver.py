@@ -6,7 +6,17 @@ The exact search folds the sample's prefix tree into at most m classes
 with determinization closure.  Tree states are processed in breadth-first
 order; each may join an existing class (tried in ascending creation
 order) or open the next class index, which breaks class-renaming
-symmetry.  The search is sequential and therefore deterministic.
+symmetry.  The search is sequential and therefore deterministic, and it
+keeps its choices on an explicit stack, so tree depth is not bounded by
+the interpreter's recursion limit.
+
+Both the exact search and RPNI ask the prefix tree first whether the two
+nodes they are about to fold *conflict*: some suffix leads them to
+opposite labels.  A conflicting pair cannot share a class in any
+consistent quotient, so its fold would fail; it is skipped (and still
+counted in `states_explored`).  The answers come from a memo of one byte
+per unordered node pair, n(n-1)/2 bytes for an n-node tree, filled lazily.
+Skipping leaves every search step, witness and RPNI automaton as it was.
 """
 from __future__ import annotations
 
@@ -63,7 +73,8 @@ class _Timeout(Exception):
 
 
 class _Pta:
-    """Prefix tree of the sample with three-valued node labels."""
+    """Prefix tree of the sample with three-valued node labels, and a
+    lazily filled memo of which node pairs conflict."""
 
     def __init__(self, sample: DfaSample):
         self.alphabet = sample.alphabet
@@ -95,6 +106,52 @@ class _Pta:
             for a in sorted(self.children[node]):
                 queue.append(self.children[node][a])
         self.bfs = order
+        n = len(self.labels)
+        self._pairs = bytearray(n * (n - 1) // 2)  # 0 unknown, 1 compatible, 2 conflict
+
+    def conflict(self, u: int, v: int) -> bool:
+        """Whether some suffix w labels u.w and v.w oppositely.
+
+        Walks the common descendants of the two nodes with an explicit
+        stack; on a clash every pair on the current path is recorded as
+        conflicting, and each pair whose walk finishes cleanly as
+        compatible.
+        """
+        if u == v:
+            return False
+        if u > v:
+            u, v = v, u
+        memo = self._pairs
+        key = v * (v - 1) // 2 + u
+        state = memo[key]
+        if state:
+            return state == 2
+        labels, children = self.labels, self.children
+        path: list[int] = []  # memo keys of the pairs being walked
+        stack = [(key, u, v)]  # a negative key closes the pair on top of path
+        while stack:
+            key, x, y = stack.pop()
+            if key < 0:
+                memo[path.pop()] = 1
+                continue
+            state = memo[key]
+            if state == 1:
+                continue
+            if state == 2 or labels[x] * labels[y] < 0:
+                for k in path:
+                    memo[k] = 2
+                memo[key] = 2
+                return True
+            path.append(key)
+            stack.append((-1, 0, 0))
+            below = children[y]
+            for sym, cx in children[x].items():
+                cy = below.get(sym)
+                if cy is not None:
+                    if cx > cy:
+                        cx, cy = cy, cx
+                    stack.append((cy * (cy - 1) // 2 + cx, cx, cy))
+        return False
 
 
 class _MergeEngine:
@@ -215,36 +272,60 @@ class _ExactSearch:
         self.explored = 0
 
     def run(self) -> bool:
-        return self._search(0)
+        """Depth-first search over merge choices with an explicit stack.
 
-    def _search(self, idx: int) -> bool:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise _Timeout
+        A frame holds one tree node's choices: each class existing when the
+        node was reached, in creation order, then a new class.  Pairs the
+        prefix tree already knows to conflict are counted but never folded.
+        """
         eng = self.engine
         order = self.pta.bfs
-        while idx < len(order) and eng.find(order[idx]) != order[idx]:
-            idx += 1
-        if idx == len(order):
-            return True
-        node = order[idx]
-        for red in tuple(eng.reds):
-            self.explored += 1
-            mark = len(eng.trail)
-            if eng.fold(red, node) and (
-                not self.require_acyclic or eng.quotient_acyclic(order[0])
-            ):
-                if self._search(idx + 1):
-                    return True
-            eng.undo(mark)
-        if len(eng.reds) < self.max_states:
-            self.explored += 1
-            eng.reds.append(node)
-            eng.red_set.add(node)
-            if self._search(idx + 1):
+        conflict = self.pta.conflict
+        frames: list[list] = []  # [order index, node, classes, choices taken, trail mark]
+        idx = 0
+        while True:
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise _Timeout
+            while idx < len(order) and eng.find(order[idx]) != order[idx]:
+                idx += 1
+            if idx == len(order):
                 return True
-            eng.reds.pop()
-            eng.red_set.discard(node)
-        return False
+            node = order[idx]
+            frames.append([idx, node, tuple(eng.reds), 0, len(eng.trail)])
+            while frames:
+                frame = frames[-1]
+                idx, node, reds, taken, mark = frame
+                if taken > len(reds):
+                    eng.reds.pop()
+                    eng.red_set.discard(node)
+                    frames.pop()
+                    continue
+                eng.undo(mark)
+                while taken < len(reds):
+                    red = reds[taken]
+                    taken += 1
+                    self.explored += 1
+                    if conflict(red, node):
+                        continue
+                    if eng.fold(red, node) and (
+                        not self.require_acyclic or eng.quotient_acyclic(order[0])
+                    ):
+                        break
+                    eng.undo(mark)
+                else:
+                    if len(eng.reds) < self.max_states:
+                        taken += 1
+                        self.explored += 1
+                        eng.reds.append(node)
+                        eng.red_set.add(node)
+                    else:
+                        frames.pop()
+                        continue
+                frame[3] = taken
+                idx += 1
+                break
+            else:
+                return False
 
 
 def exists_consistent(req: SolveRequest) -> SolveOutcome:
@@ -351,6 +432,11 @@ def rpni(sample: DfaSample) -> Dfa:
 
     The output is completed to a total DFA; it is always consistent and
     never larger than the prefix tree.
+
+    A fold is not tried when the prefix tree's conflict memo (n(n-1)/2
+    bytes for n tree nodes) shows that some suffix labels the two nodes
+    oppositely: it would fail and be undone, so the result is the same
+    without the fold cascade.
     """
     if not sample.strings():
         raise ValueError("rpni needs a nonempty sample")
@@ -361,6 +447,8 @@ def rpni(sample: DfaSample) -> Dfa:
             continue
         merged = False
         for red in tuple(eng.reds):
+            if pta.conflict(red, node):
+                continue
             mark = len(eng.trail)
             if eng.fold(red, node):
                 merged = True

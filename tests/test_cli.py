@@ -171,6 +171,16 @@ class TestWitnessExtract:
                      "--dfa", str(w), "--meta", str(tmp_path / "s.abb.meta.json")]) == 0
         assert "num_colors: 3" in capsys.readouterr().out
 
+    def test_zhang_witness_on_a_long_cycle(self, tmp_path, capsys):
+        # the coloring search walks more vertices than the recursion limit
+        col = tmp_path / "c1201.col"
+        col.write_text(emit_dimacs(Graph.cycle(1201)))
+        w = tmp_path / "w.json"
+        assert main(["witness", "--kind", "zhang", "--graph", str(col), "--K", "3",
+                     "--out", str(w)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert automaton_from_json(w.read_text()).num_states == 4
+
     def test_two_chain_witness(self, k3_col, tmp_path):
         w = tmp_path / "two.json"
         assert main(["witness", "--kind", "two-chain", "--graph", k3_col,

@@ -92,6 +92,12 @@ class TestChromaticNumber:
             bigger = Graph(6, g.edges | {rng.choice(non_edges)})
             assert chromatic_number(bigger)[0] >= chromatic_number(g)[0]
 
+    def test_long_odd_cycle_does_not_recurse(self):
+        # more vertices than the interpreter's recursion limit
+        k, witness = chromatic_number(Graph.cycle(1201))
+        assert k == 3
+        assert is_proper_coloring(Graph.cycle(1201), witness)
+
     def test_upper_bound_exceeded_is_reported_not_raised(self, k4):
         assert chromatic_number(k4, upper_bound=3) is None
         found = chromatic_number(k4, upper_bound=4)

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfalab import (
     Alphabet,
@@ -15,7 +17,9 @@ from dfalab import (
     ReductionParams,
     SolveRequest,
     SolveStatus,
+    binary_sample,
     brute_force_min,
+    default_params,
     exists_consistent,
     is_consistent,
     make_encoding,
@@ -26,7 +30,9 @@ from dfalab import (
     zhang_sample,
 )
 
-from conftest import random_sample
+from dfalab.solver import _MergeEngine, _Pta
+
+from conftest import DEMO5_EDGES, random_sample
 
 BIN = Alphabet.binary()
 
@@ -194,3 +200,160 @@ def test_zhang_equivalence_on_small_graphs():
     for g in [Graph.complete(3), Graph.path(4), Graph.cycle(5), Graph.edgeless(3)]:
         k_star = chromatic_number(g)[0]
         assert min_consistent(zhang_sample(g), k_star + 2)[0] == k_star + 1
+
+
+def test_deep_prefix_tree_does_not_recurse():
+    # a chain of more nodes than the interpreter's recursion limit: every
+    # prefix is negative and the full string positive, so no two chain nodes
+    # may share a state and the search descends once per node
+    import sys
+
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    s = sample([(0,) * n], [(0,) * k for k in range(n)])
+    out = exists_consistent(SolveRequest(s, n + 1))
+    assert out.status is SolveStatus.SAT
+    assert out.witness.num_states == n + 1
+
+
+# states_explored and the witness of the exact search, pinned to the values
+# the search gave before the prefix-tree conflict check was added: the check
+# only skips folds that must fail, so neither may change
+ZHANG_PINS = [
+    ("triangle", Graph.complete(3), [2, 5, 9, 19],
+     ((1, 2, 3, 0, 0, 0), (1, 1, 1, 0, 0, 1), (2, 2, 2, 1, 2, 0), (3, 3, 3, 3, 1, 1))),
+    ("p4", Graph.path(4), [2, 5, 20],
+     ((1, 2, 1, 2, 0, 0, 0), (1, 1, 1, 1, 0, 1, 0), (2, 2, 2, 2, 1, 0, 1))),
+    ("c5", Graph.cycle(5), [2, 5, 15, 30],
+     ((1, 2, 1, 2, 3, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 0, 1),
+      (2, 2, 2, 2, 2, 1, 2, 0, 1, 0), (3, 3, 3, 3, 3, 3, 1, 3, 3, 1))),
+    ("demo5", Graph(5, frozenset(DEMO5_EDGES)), [2, 5, 9, 32],
+     ((1, 2, 3, 1, 1, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1),
+      (2, 2, 2, 2, 2, 1, 2, 0, 0, 2, 2), (3, 3, 3, 3, 3, 3, 1, 1, 3, 0, 0))),
+    ("k4", Graph.complete(4), [2, 5, 9, 14, 33],
+     ((1, 2, 3, 4, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 1, 1, 1),
+      (2, 2, 2, 2, 1, 2, 2, 0, 0, 2), (3, 3, 3, 3, 3, 1, 3, 1, 3, 0),
+      (4, 4, 4, 4, 4, 4, 1, 4, 1, 1))),
+]
+
+
+@pytest.mark.parametrize("name, g, explored, rows", ZHANG_PINS, ids=[p[0] for p in ZHANG_PINS])
+def test_exact_search_steps_and_witness_are_pinned(name, g, explored, rows):
+    s = zhang_sample(g)
+    for m, steps in enumerate(explored, start=1):
+        out = exists_consistent(SolveRequest(s, m))
+        assert out.states_explored == steps
+        expected = SolveStatus.SAT if m == len(explored) else SolveStatus.UNSAT
+        assert out.status is expected
+    assert out.witness.initial == 0
+    assert out.witness.transitions == rows
+    assert out.witness.accepting == {0}
+
+
+@pytest.mark.parametrize("n, seed, unsat_steps, sat_steps, coloring", [
+    (9, 1, 252, 376, (1, 2, 3, 3, 2, 3, 4, 1, 5)),
+    (10, 3, 194, 91, (1, 2, 1, 2, 1, 1, 3, 4, 3, 2)),
+])
+def test_exact_search_steps_are_pinned_on_random_graphs(n, seed, unsat_steps, sat_steps, coloring):
+    g = Graph.gnp(n, 0.5, seed)
+    chi = max(coloring)
+    s = zhang_sample(g)
+    unsat = exists_consistent(SolveRequest(s, chi))
+    assert (unsat.status, unsat.states_explored) == (SolveStatus.UNSAT, unsat_steps)
+    sat = exists_consistent(SolveRequest(s, chi + 1))
+    assert (sat.status, sat.states_explored) == (SolveStatus.SAT, sat_steps)
+    assert sat.witness.transitions[0][:n] == coloring
+
+
+@st.composite
+def labeled_words(draw):
+    """A small binary sample, prefix-closed or not."""
+    words = draw(st.sets(st.lists(st.integers(0, 1), max_size=5).map(tuple), max_size=10))
+    if draw(st.booleans()):
+        words = {w[:i] for w in words for i in range(len(w) + 1)}
+    words = sorted(words)
+    labels = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+    pos = frozenset(w for w, keep in zip(words, labels) if keep)
+    return sample(pos, frozenset(words) - pos)
+
+
+def _suffixes(pta: _Pta, node: int):
+    """Every w with node.w in the tree, paired with the node it reaches."""
+    stack = [((), node)]
+    while stack:
+        w, x = stack.pop()
+        yield w, x
+        stack.extend((w + (a,), y) for a, y in pta.children[x].items())
+
+
+def _brute_conflict(pta: _Pta, u: int, v: int) -> bool:
+    for w, x in _suffixes(pta, u):
+        y = v
+        for a in w:
+            y = pta.children[y].get(a)
+            if y is None:
+                break
+        if y is not None and pta.labels[x] and pta.labels[y] and pta.labels[x] != pta.labels[y]:
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words(), st.randoms(use_true_random=False))
+def test_conflict_matches_its_definition(s, rng):
+    pta = _Pta(s)
+    n = len(pta.labels)
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    rng.shuffle(pairs)  # the memo must not depend on the order of queries
+    for u, v in pairs:
+        assert pta.conflict(u, v) == _brute_conflict(pta, u, v), (u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_conflicting_nodes_never_fold(s):
+    pta = _Pta(s)
+    n = len(pta.labels)
+    for u in range(n):
+        for v in range(n):
+            if pta.conflict(u, v):
+                assert not _MergeEngine(pta).fold(u, v), (u, v)
+
+
+def _greedy_folds(s: DfaSample) -> PartialDfa:
+    """RPNI without the conflict check: try every fold, undo the failures."""
+    pta = _Pta(s)
+    eng = _MergeEngine(pta)
+    for node in pta.bfs:
+        if eng.find(node) != node:
+            continue
+        for red in tuple(eng.reds):
+            mark = len(eng.trail)
+            if eng.fold(red, node):
+                break
+            eng.undo(mark)
+        else:
+            eng.reds.append(node)
+            eng.red_set.add(node)
+    return eng.materialize(s.alphabet)
+
+
+def test_rpni_matches_fold_only_greedy_on_random_samples():
+    rng = random.Random(11)
+    for _ in range(200):
+        s = random_sample(rng, max_strings=10, max_len=6)
+        if s.strings():
+            assert rpni(s) == _greedy_folds(s).completed()
+
+
+@pytest.mark.parametrize("g, K", [
+    (Graph(5, frozenset(DEMO5_EDGES)), 3),
+    (Graph.cycle(5), 3),
+    (Graph.complete(4), 4),
+    (Graph.gnp(6, 0.5, 0), 3),
+    (Graph.gnp(6, 0.5, 2), 3),
+], ids=["demo5", "c5", "k4", "gnp6-0", "gnp6-2"])
+def test_rpni_matches_fold_only_greedy_on_binary_samples(g, K):
+    params = default_params(g, K)
+    s = binary_sample(g, params, make_encoding(g, params))
+    assert rpni(s) == _greedy_folds(s).completed()
