@@ -22,7 +22,7 @@ from dfalab import (
     make_encoding,
     min_consistent,
     single_dfa_from_coloring,
-    single_run,
+    single_string,
     two_chain_dfa,
     zhang_sample,
 )
@@ -66,12 +66,8 @@ def certify(name: str, g: Graph) -> dict:
         "two-chain": "-",
     }
     if g.num_edges:
-        word, labels = single_run(g, params, enc)
         sw = single_dfa_from_coloring(g, coloring, params, enc)
-        state = sw.initial
-        for pos, a in enumerate(word):  # positional consistency along the run
-            state = sw.transitions[state][a]
-            assert (state in sw.accepting) == labels[pos]
+        assert is_consistent(sw, single_string(g, params, enc)[1])
         bound = params.N + (k_star + 1) * params.L
         assert sw.num_states <= bound
         assert coloring_from_single_dfa(sw, g, params, enc).num_colors <= k_star

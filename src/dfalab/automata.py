@@ -3,16 +3,17 @@
 Total and partial deterministic finite automata, Moore and Mealy
 transducers with a binary output alphabet (encoded as booleans, True
 meaning "+"), and the two sample representations used throughout:
-labeled string sets and input/output runs.
+labeled string sets, stored as labeled prefix trees, and input/output runs.
 
-All values are frozen dataclasses and every operation is a pure function
-of its inputs, so values can be shared freely between threads.
+All values are frozen dataclasses (or read-only views of one) and every
+operation is a pure function of its inputs, so values can be shared freely
+between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Set
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
 
 Word = tuple[int, ...]
 
@@ -73,31 +74,97 @@ class LabeledString:
         object.__setattr__(self, "symbols", tuple(self.symbols))
 
 
-def _check_sample_words(words: frozenset[Word], size: int) -> None:
-    for w in words:
-        # min/max run at C speed; cheap even for very long strings
-        if w and (min(w) < 0 or max(w) >= size):
-            raise ValueError(f"string {w!r} uses symbols outside alphabet of size {size}")
+class SampleWords(Set):
+    """Read-only set view of the words a DfaSample labels with a sign in
+    `signs` (1 positive, -1 negative); set operations return frozensets."""
+
+    __slots__ = ("_sample", "_signs")
+
+    def __init__(self, sample: "DfaSample", signs: tuple[int, ...]):
+        self._sample, self._signs = sample, signs
+
+    def __len__(self) -> int:
+        return sum(n for n, sign in zip(self._sample.counts, (1, -1)) if sign in self._signs)
+
+    def __contains__(self, word) -> bool:
+        node = self._sample.node(word)
+        return node is not None and self._sample.labels[node] in self._signs
+
+    def __iter__(self) -> Iterator[Word]:
+        labels, signs = self._sample.labels, self._signs
+        for word, nodes in self._sample.preorder():
+            if labels[nodes[-1]] in signs:
+                yield tuple(word)
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"SampleWords({list(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DfaSample:
-    """Disjoint sets of accepted (positive) and rejected (negative) strings."""
+    """Disjoint sets of accepted (positive) and rejected (negative) strings,
+    stored as their labeled prefix tree.
+
+    One node per distinct prefix of a sample string, node 0 the empty one:
+    `children[node]` maps symbols to child nodes and `labels[node]` is 1
+    (positive), -1 (negative) or 0 (no sample string).  Nodes are numbered
+    in preorder, children maps filled in symbol order, however the sample
+    is built; `from_runs` builds in time linear in the run lengths.
+    """
 
     alphabet: Alphabet
-    positives: frozenset[Word]
-    negatives: frozenset[Word]
+    children: tuple[dict[int, int], ...] = field(repr=False)
+    labels: tuple[int, ...]
+    counts: tuple[int, int] = field(compare=False)  # (positives, negatives)
 
-    def __post_init__(self) -> None:
-        pos = frozenset(tuple(w) for w in self.positives)
-        neg = frozenset(tuple(w) for w in self.negatives)
-        object.__setattr__(self, "positives", pos)
-        object.__setattr__(self, "negatives", neg)
+    def __init__(self, alphabet: Alphabet, positives: Iterable[Word], negatives: Iterable[Word]):
+        pos = frozenset(tuple(w) for w in positives)
+        neg = frozenset(tuple(w) for w in negatives)
         overlap = pos & neg
         if overlap:
             raise SampleError(f"{len(overlap)} strings labeled both positive and negative")
-        _check_sample_words(pos, self.alphabet.size)
-        _check_sample_words(neg, self.alphabet.size)
+        size = alphabet.size
+        children: list[dict[int, int]] = [{}]
+        labels = [0]
+        # In sorted order each word's nodes after its longest common prefix
+        # with the previous word are new, and come in preorder.
+        path = [0]  # path[d] = node of the current word's length-d prefix
+        prev: Word = ()
+        for word in sorted(pos | neg):
+            keep = min(len(prev), len(word))
+            if prev[:keep] != word[:keep]:
+                lo, hi = 0, keep  # invariant: equal up to lo, different up to hi
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if prev[:mid] == word[:mid]:
+                        lo = mid
+                    else:
+                        hi = mid
+                keep = lo
+            del path[keep + 1:]
+            node = path[-1]
+            for a in word[keep:]:
+                if not 0 <= a < size:
+                    raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
+                child = len(labels)
+                children[node][a] = child
+                children.append({})
+                labels.append(0)
+                path.append(child)
+                node = child
+            labels[node] = 1 if word in pos else -1
+            prev = word
+        self._set(alphabet, children, labels)
+
+    def _set(self, alphabet: Alphabet, children: list[dict[int, int]], labels: list[int]) -> None:
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "labels", tuple(labels))
+        object.__setattr__(self, "counts", (labels.count(1), labels.count(-1)))
 
     @classmethod
     def from_labeled(cls, alphabet: Alphabet, strings: Iterable[LabeledString]) -> "DfaSample":
@@ -105,18 +172,107 @@ class DfaSample:
         neg = frozenset(s.symbols for s in strings if not s.label)
         return cls(alphabet, pos, neg)
 
-    def strings(self) -> frozenset[Word]:
-        return self.positives | self.negatives
+    @classmethod
+    def from_runs(cls, alphabet: Alphabet, runs: Iterable[tuple[Word, tuple[bool, ...]]],
+                  empty: bool | None = None) -> "DfaSample":
+        """Every prefix of every run input `word`, the length-k one labeled
+        `out[k - 1]` and the empty one `empty` (None: unlabeled), in time
+        linear in the run lengths.  SampleError if two runs disagree."""
+        size = alphabet.size
+        children: list[dict[int, int]] = [{}]
+        labels = [0 if empty is None else (1 if empty else -1)]
+        ordered = sorted(runs)  # inserted in sorted order, nodes come in preorder
+        for word, out in ordered:
+            if len(word) != len(out):
+                raise SampleError(f"run {_format_run((word, out))} has |input| != |output|")
+            node = 0
+            for k, (a, b) in enumerate(zip(word, out)):
+                label = 1 if b else -1
+                nxt = children[node].get(a)
+                if nxt is None:
+                    if not 0 <= a < size:
+                        raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
+                    nxt = len(labels)
+                    children[node][a] = nxt
+                    children.append({})
+                    labels.append(label)
+                elif labels[nxt] != label:
+                    other = next(r for r in ordered if r[0][: k + 1] == word[: k + 1])
+                    raise SampleError(f"conflicting runs: {_format_run(other)} and "
+                                      f"{_format_run((word, out))} disagree on a shared input prefix")
+                node = nxt
+        sample = cls.__new__(cls)
+        sample._set(alphabet, children, labels)
+        return sample
+
+    @property
+    def positives(self) -> SampleWords:
+        return SampleWords(self, (1,))
+
+    @property
+    def negatives(self) -> SampleWords:
+        return SampleWords(self, (-1,))
+
+    def strings(self) -> SampleWords:
+        return SampleWords(self, (1, -1))
 
     def size(self) -> int:
-        return len(self.positives) + len(self.negatives)
+        return sum(self.counts)
+
+    def node(self, word: Iterable[int]) -> int | None:
+        """The tree node of `word`, or None when it is no prefix of a sample string."""
+        node: int | None = 0
+        for a in word:
+            node = self.children[node].get(a)
+            if node is None:
+                break
+        return node
 
     def label(self, word: Word) -> bool | None:
-        if word in self.positives:
-            return True
-        if word in self.negatives:
-            return False
-        return None
+        node = self.node(word)
+        return None if node is None or not self.labels[node] else self.labels[node] > 0
+
+    def preorder(self) -> Iterator[tuple[list[int], list[int]]]:
+        """(word, nodes) for every node in preorder, so in sorted word order;
+        `nodes` holds the nodes of the word's prefixes, the root first and
+        the node itself last.  Both lists are updated in place."""
+        children = self.children
+        word: list[int] = []
+        nodes = [0]
+        yield word, nodes
+        stack = [(c, 1, a) for a, c in reversed(children[0].items())]
+        while stack:
+            node, depth, a = stack.pop()
+            del word[depth - 1:], nodes[depth:]
+            word.append(a)
+            nodes.append(node)
+            yield word, nodes
+            stack.extend((c, depth + 1, b) for b, c in reversed(children[node].items()))
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.labels))
+
+
+def reaches_cycle(start: int, successors: Callable[[int], Iterable[int]]) -> bool:
+    """Whether a cycle of the graph `successors` describes is reachable
+    from `start`: depth-first search on an explicit stack."""
+    GRAY, BLACK = 1, 2
+    color = {start: GRAY}
+    stack = [(start, iter(successors(start)))]  # (node, its successors not yet tried)
+    while stack:
+        node, pending = stack[-1]
+        for t in pending:
+            c = color.get(t)
+            if c == GRAY:
+                return True
+            if c is None:
+                color[t] = GRAY
+                stack.append((t, iter(successors(t))))
+                break
+        else:
+            color[node] = BLACK
+            stack.pop()
+    return False
 
 
 def _normalize_rows(transitions, num_states: int, size: int, partial: bool):
@@ -230,32 +386,8 @@ class PartialDfa:
 
     def is_acyclic(self) -> bool:
         """True iff no directed cycle is reachable from the initial state."""
-        GRAY, BLACK = 1, 2
-        color: dict[int, int] = {}
         trans = self.transitions
-        start = self.initial
-        color[start] = GRAY
-        path = [start]
-        iters = {start: iter(trans[start])}
-        while path:
-            top = path[-1]
-            advanced = False
-            for t in iters[top]:
-                if t is None:
-                    continue
-                c = color.get(t)
-                if c == GRAY:
-                    return False
-                if c is None:
-                    color[t] = GRAY
-                    iters[t] = iter(trans[t])
-                    path.append(t)
-                    advanced = True
-                    break
-            if not advanced:
-                color[top] = BLACK
-                path.pop()
-        return True
+        return not reaches_cycle(self.initial, lambda q: (t for t in trans[q] if t is not None))
 
     def completed(self) -> Dfa:
         """Fill every missing entry with a self-loop.
@@ -353,21 +485,8 @@ class MachineSample:
     def __post_init__(self) -> None:
         runs = frozenset((tuple(s), tuple(bool(b) for b in t)) for s, t in self.runs)
         object.__setattr__(self, "runs", runs)
-        for s, t in runs:
-            if len(s) != len(t):
-                raise SampleError(f"run {_format_run((s, t))} has |input| != |output|")
-        _check_sample_words(frozenset(s for s, _ in runs), self.alphabet.size)
-        # Prefix agreement between lexicographically adjacent runs implies
-        # agreement between all pairs (lcp(a, c) = min(lcp(a, b), lcp(b, c))).
-        ordered = sorted(runs)
-        for (s1, t1), (s2, t2) in zip(ordered, ordered[1:]):
-            n = _shared_prefix_len(s1, s2)
-            if t1[:n] != t2[:n]:
-                raise SampleError(
-                    "conflicting runs: "
-                    f"{_format_run((s1, t1))} and {_format_run((s2, t2))} "
-                    "disagree on a shared input prefix"
-                )
+        # checks lengths, symbols and agreement on shared input prefixes
+        DfaSample.from_runs(self.alphabet, runs)
 
 
 class PrefixCompleteness(Enum):
@@ -377,67 +496,42 @@ class PrefixCompleteness(Enum):
 
 
 def prefix_completeness(sample: DfaSample) -> PrefixCompleteness:
-    """Classify whether the sample's string set is closed under prefixes.
+    """Classify whether the sample's string set is closed under prefixes:
+    whether every tree node is labeled.
 
     COMPLETE means the set equals its own prefix closure; ALMOST_COMPLETE
     means only the empty string is missing.
     """
-    strings = sample.strings()
-    missing = {w[:-1] for w in strings if w} - strings
-    if not missing:
+    labels = sample.labels
+    if 0 in labels[1:]:
+        return PrefixCompleteness.NEITHER
+    if labels[0] or len(labels) == 1:
         return PrefixCompleteness.COMPLETE
-    if missing == {()} :
-        return PrefixCompleteness.ALMOST_COMPLETE
-    return PrefixCompleteness.NEITHER
-
-
-def _shared_prefix_len(a: Word, b: Word) -> int:
-    """Length of the longest common prefix, via slice comparisons."""
-    n = min(len(a), len(b))
-    if a[:n] == b[:n]:
-        return n
-    lo, hi = 0, n  # invariant: a[:lo] == b[:lo], a[:hi] != b[:hi]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return PrefixCompleteness.ALMOST_COMPLETE
 
 
 def consistency_violations(machine: Dfa | PartialDfa, sample: DfaSample) -> list[LabeledString]:
-    """All sample strings whose verdict under `machine` contradicts their label.
-
-    Empty result means the machine is consistent with the sample.  Strings
-    are replayed in sorted order along a shared-prefix stack, so the cost is
-    proportional to the sample's prefix-tree size rather than the sum of
-    string lengths squared.
+    """All sample strings whose verdict under `machine` contradicts their
+    label, in sorted order; empty when the machine is consistent.  The
+    machine runs once down each edge of the sample's prefix tree.
     """
     if machine.alphabet.size != sample.alphabet.size:
         raise ValueError(
             f"alphabet mismatch: machine has {machine.alphabet.size} symbols, "
             f"sample has {sample.alphabet.size}"
         )
-    trans = machine.transitions
-    accepting = machine.accepting
-    positives = sample.positives
-    bad = []
-    path: list[int | None] = [machine.initial]  # path[d] = state after d symbols
-    prev: Word = ()
-    for word in sorted(sample.strings()):
-        keep = _shared_prefix_len(prev, word)
-        del path[keep + 1:]
-        state = path[-1]
-        for a in word[keep:]:
-            state = None if state is None else trans[state][a]
-            path.append(state)
-        accepted = state is not None and state in accepting
-        expected = word in positives
-        if accepted != expected:
-            bad.append(LabeledString(word, expected))
-        prev = word
-    return bad
+    trans, labels = machine.transitions, sample.labels
+    state: list[int | None] = [machine.initial] * len(labels)
+    for node, children in enumerate(sample.children):  # parents come first
+        for a, child in children.items():
+            state[child] = None if state[node] is None else trans[state[node]][a]
+    accepting = machine.accepting  # a run that fell off (None) rejects
+    wrong = {node for node, label in enumerate(labels)
+             if label and (state[node] in accepting) != (label > 0)}
+    if not wrong:
+        return []
+    return [LabeledString(tuple(word), labels[nodes[-1]] > 0)
+            for word, nodes in sample.preorder() if nodes[-1] in wrong]
 
 
 def is_consistent(machine: Dfa | PartialDfa, sample: DfaSample) -> bool:
@@ -445,52 +539,18 @@ def is_consistent(machine: Dfa | PartialDfa, sample: DfaSample) -> bool:
 
 
 def prefix_tree_acceptor(sample: DfaSample) -> PartialDfa:
-    """Tree-shaped partial DFA with one state per distinct prefix.
+    """Tree-shaped partial DFA with one state per distinct prefix: the
+    sample's own tree, state numbers included.
 
     A state is accepting iff its prefix is a positive string, so the tree
     is consistent with the sample by construction and trivially acyclic.
     """
-    words = sorted(sample.strings())
-    if not words:
+    if not sample.size():
         raise SampleError("cannot build a prefix tree from an empty sample")
-    children: list[dict[int, int]] = [{}]
-    accepting: set[int] = set()
-    path = [0]
-    prev: Word = ()
-    for word in words:
-        keep = _shared_prefix_len(prev, word)
-        del path[keep + 1:]
-        node = path[-1]
-        for a in word[keep:]:
-            nxt = children[node].get(a)
-            if nxt is None:
-                nxt = len(children)
-                children.append({})
-                children[node][a] = nxt
-            node = nxt
-            path.append(node)
-        if word in sample.positives:
-            accepting.add(node)
-        prev = word
     size = sample.alphabet.size
-    rows = tuple(tuple(ch.get(a) for a in range(size)) for ch in children)
-    return PartialDfa(len(children), sample.alphabet, 0, rows, frozenset(accepting))
-
-
-def _maximal_strings(strings: frozenset[Word]) -> list[Word]:
-    """Strings that are not proper prefixes of another string in the set.
-
-    In sorted order every extension of w directly follows w, so comparing
-    each string with its successor suffices.
-    """
-    ordered = sorted(strings)
-    out = []
-    for w, nxt in zip(ordered, ordered[1:]):
-        if not (len(nxt) > len(w) and nxt[: len(w)] == w):
-            out.append(w)
-    if ordered:
-        out.append(ordered[-1])
-    return out
+    rows = tuple(tuple(ch.get(a) for a in range(size)) for ch in sample.children)
+    accepting = frozenset(q for q, label in enumerate(sample.labels) if label > 0)
+    return PartialDfa(len(rows), sample.alphabet, 0, rows, accepting)
 
 
 def dfa_sample_to_machine_sample(sample: DfaSample) -> MachineSample:
@@ -504,14 +564,13 @@ def dfa_sample_to_machine_sample(sample: DfaSample) -> MachineSample:
         raise SampleError(
             "sample is not (almost) prefix-complete; per-position outputs are undefined"
         )
-    positives = sample.positives
-    runs = set()
-    for w in _maximal_strings(sample.strings()):
-        if not w:
-            continue
-        out = tuple(w[:k] in positives for k in range(1, len(w) + 1))
-        runs.add((w, out))
-    return MachineSample(sample.alphabet, frozenset(runs))
+    children, labels = sample.children, sample.labels
+    runs = frozenset(
+        (tuple(word), tuple(labels[node] > 0 for node in nodes[1:]))
+        for word, nodes in sample.preorder()
+        if word and not children[nodes[-1]]  # a leaf is a maximal string
+    )
+    return MachineSample(sample.alphabet, runs)
 
 
 def machine_sample_to_dfa_sample(ms: MachineSample) -> DfaSample:
@@ -520,10 +579,4 @@ def machine_sample_to_dfa_sample(ms: MachineSample) -> DfaSample:
     The result is almost prefix-complete; the empty string is placed in
     neither set.
     """
-    pos: set[Word] = set()
-    neg: set[Word] = set()
-    for s, t in ms.runs:
-        for k in range(1, len(s) + 1):
-            (pos if t[k - 1] else neg).add(s[:k])
-    # MachineSample validation already rejected conflicting runs
-    return DfaSample(ms.alphabet, frozenset(pos), frozenset(neg))
+    return DfaSample.from_runs(ms.alphabet, ms.runs)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import deque
 from typing import Any
 
 from .automata import (
@@ -150,11 +151,16 @@ def automaton_from_json(text: str) -> Automaton:
 
 
 def sample_to_abbadingo(sample: DfaSample) -> str:
-    words = sorted(sample.strings(), key=lambda w: (len(w), w))
-    lines = [f"{len(words)} {sample.alphabet.size}"]
-    for w in words:
-        label = 1 if w in sample.positives else 0
-        lines.append(" ".join([str(label), str(len(w))] + [str(a) for a in w]))
+    children, labels = sample.children, sample.labels
+    lines = [f"{sample.size()} {sample.alphabet.size}"]
+    # breadth first, children in symbol order: by length, then lexicographically
+    queue = deque([(0, 0, "")])  # node, length, " a1 a2 ..." of its word
+    while queue:
+        node, length, symbols = queue.popleft()
+        if labels[node]:
+            lines.append(f"{1 if labels[node] > 0 else 0} {length}{symbols}")
+        for a, child in children[node].items():
+            queue.append((child, length + 1, f"{symbols} {a}"))
     return "\n".join(lines) + "\n"
 
 

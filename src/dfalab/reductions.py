@@ -183,23 +183,16 @@ def binary_sample(g: Graph, params: ReductionParams, enc: Encoding) -> DfaSample
     closures coincide.
     """
     body = (0,) * params.L
-    universe: set[Word] = set()
-    positives: set[Word] = set()
-
-    def add_prefixes(w: Word) -> None:
-        for k in range(len(w) + 1):
-            universe.add(w[:k])
-
+    # runs of head + 0^L for every vertex and of the full strings: the body
+    # end is positive, so is a full string whose head is the smaller endpoint
+    runs = []
     for v in range(g.num_vertices):
         w = enc.vertex_codes[v] + body
-        positives.add(w)
-        add_prefixes(w)
+        runs.append((w, (False,) * (len(w) - 1) + (True,)))
     for v, rank, (i, j) in incident_pairs(g):
-        w = enc.vertex_codes[v] + body + enc.edge_codes[rank]
-        if v == i:
-            positives.add(w)
-        add_prefixes(w)
-    return DfaSample(Alphabet.binary(), frozenset(positives), frozenset(universe - positives))
+        (w, to_body), tail = runs[v], enc.edge_codes[rank]
+        runs.append((w + tail, to_body + (False,) * (len(tail) - 1) + (v == i,)))
+    return DfaSample.from_runs(Alphabet.binary(), runs, empty=False)
 
 
 def _block_labels(params: ReductionParams, positive_end: bool) -> list[bool]:
@@ -230,7 +223,7 @@ def single_run(
     Light form of single_string: for a fully prefix-closed single-string
     sample, the label of the length-k prefix is labels[k - 1] (the empty
     prefix is negative), so consistency can be decided by one walk along
-    the string without materializing the quadratic-size prefix sets.
+    the string.
     """
     pairs = incident_pairs(g)
     if not pairs:
@@ -245,7 +238,6 @@ def single_run(
     return tuple(symbols), tuple(labels)
 
 
-@functools.lru_cache(maxsize=8)
 def single_string(
     g: Graph, params: ReductionParams, enc: Encoding
 ) -> tuple[Word, DfaSample, MachineSample]:
@@ -253,16 +245,10 @@ def single_string(
     equivalent single-run machine sample.
 
     The string concatenates 0^N + s over the canonically ordered string
-    set; its length is 2|E| * (N + head_len + L + tail_len).
-
-    Memoized: all inputs and outputs are immutable, and witness extraction
-    and verification regenerate the same (large) instance repeatedly.
+    set; its length is 2|E| * (N + head_len + L + tail_len).  The sample
+    is one tree path of |Str| + 1 nodes, built in linear time and memory.
     """
     word, labels = single_run(g, params, enc)
-    positives = set()
-    negatives = {()}
-    for k, lab in enumerate(labels):
-        (positives if lab else negatives).add(word[: k + 1])
-    sample = DfaSample(Alphabet.binary(), frozenset(positives), frozenset(negatives))
+    sample = DfaSample.from_runs(Alphabet.binary(), [(word, labels)], empty=False)
     run = MachineSample(Alphabet.binary(), frozenset({(word, labels)}))
     return word, sample, run

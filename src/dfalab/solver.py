@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,7 +30,7 @@ from .automata import (
     DfaSample,
     PartialDfa,
     consistency_violations,
-    _shared_prefix_len,
+    reaches_cycle,
 )
 
 
@@ -73,39 +72,15 @@ class _Timeout(Exception):
 
 
 class _Pta:
-    """Prefix tree of the sample with three-valued node labels, and a
-    lazily filled memo of which node pairs conflict."""
+    """The sample's prefix tree (shared, not copied) with its breadth-first
+    node order and a lazily filled memo of which node pairs conflict."""
 
     def __init__(self, sample: DfaSample):
-        self.alphabet = sample.alphabet
-        self.children: list[dict[int, int]] = [{}]
-        self.labels: list[int] = [0]  # 0 unknown, 1 accept, -1 reject
-        positives = sample.positives
-        path = [0]
-        prev: tuple[int, ...] = ()
-        for word in sorted(sample.strings()):
-            keep = _shared_prefix_len(prev, word)
-            del path[keep + 1:]
-            node = path[-1]
-            for a in word[keep:]:
-                nxt = self.children[node].get(a)
-                if nxt is None:
-                    nxt = len(self.children)
-                    self.children.append({})
-                    self.labels.append(0)
-                    self.children[node][a] = nxt
-                node = nxt
-                path.append(node)
-            self.labels[node] = 1 if word in positives else -1
-            prev = word
-        order = []
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            order.append(node)
-            for a in sorted(self.children[node]):
-                queue.append(self.children[node][a])
-        self.bfs = order
+        self.children = sample.children
+        self.labels = sample.labels  # 0 unknown, 1 accept, -1 reject
+        self.bfs = [0]
+        for node in self.bfs:  # grows while it is read: a queue
+            self.bfs.extend(self.children[node].values())  # in symbol order
         n = len(self.labels)
         self._pairs = bytearray(n * (n - 1) // 2)  # 0 unknown, 1 compatible, 2 conflict
 
@@ -219,29 +194,8 @@ class _MergeEngine:
                 del self.trans[a][b]
 
     def quotient_acyclic(self, root_node: int) -> bool:
-        start = self.find(root_node)
-        GRAY, BLACK = 1, 2
-        color = {start: GRAY}
-        path = [start]
-        iters = {start: iter(list(self.trans[start].values()))}
-        while path:
-            top = path[-1]
-            advanced = False
-            for target in iters[top]:
-                c = self.find(target)
-                mark = color.get(c)
-                if mark == GRAY:
-                    return False
-                if mark is None:
-                    color[c] = GRAY
-                    iters[c] = iter(list(self.trans[c].values()))
-                    path.append(c)
-                    advanced = True
-                    break
-            if not advanced:
-                color[top] = BLACK
-                path.pop()
-        return True
+        find, trans = self.find, self.trans
+        return not reaches_cycle(find(root_node), lambda c: (find(t) for t in trans[c].values()))
 
     def materialize(self, alphabet) -> PartialDfa:
         roots: list[int] = []
