@@ -15,14 +15,11 @@ from pathlib import Path
 from .automata import (
     Dfa,
     PartialDfa,
-    PrefixCompleteness,
     SampleError,
-    consistency_violations,
     dfa_sample_to_machine_sample,
     machine_sample_to_dfa_sample,
-    prefix_completeness,
-    prefix_tree_acceptor,
 )
+from .certification import certify
 from .formats import (
     FormatError,
     automaton_from_json,
@@ -54,7 +51,6 @@ from .solver import (
     SolveTimeoutError,
     exists_consistent,
     min_consistent,
-    rpni,
 )
 from .witnesses import (
     ExtractionError,
@@ -63,7 +59,6 @@ from .witnesses import (
     coloring_from_binary_dfa,
     coloring_from_single_dfa,
     coloring_from_zhang_dfa,
-    ratio_report,
     single_dfa_from_coloring,
     two_chain_dfa,
     zhang_dfa_from_coloring,
@@ -82,16 +77,7 @@ _GENERATORS = {
 
 
 class _CheckFailure(Exception):
-    pass
-
-
-def _check(desc: str, ok: bool, detail: str = "") -> None:
-    line = f"CHECK {desc}: {'PASS' if ok else 'FAIL'}"
-    if detail:
-        line += f" ({detail})"
-    print(line)
-    if not ok:
-        raise _CheckFailure(desc)
+    """No K-coloring to build a witness from (exit 1)."""
 
 
 def _load_graph(spec: str, seed: int) -> Graph:
@@ -246,18 +232,19 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _load_dfa(path: str) -> Dfa:
+def _load_dfa(path: str, command: str) -> Dfa:
+    """The DFA document at `path`, completed if partial."""
     machine = automaton_from_json(Path(path).read_text())
     if isinstance(machine, PartialDfa):
         machine = machine.completed()
     if not isinstance(machine, Dfa):
-        raise ValueError("extraction needs a DFA document (moore/mealy given)")
+        raise ValueError(f"{command} needs a DFA document (moore/mealy given)")
     return machine
 
 
 def cmd_extract(args) -> int:
     g = _load_graph(args.graph, args.seed)
-    machine = _load_dfa(args.dfa)
+    machine = _load_dfa(args.dfa, "extract")
     if args.kind == "zhang":
         coloring = coloring_from_zhang_dfa(machine, g)
     else:
@@ -282,181 +269,32 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
-def _verify_zhang(args, g: Graph) -> None:
-    k = args.K
-    sample = zhang_sample(g)
-    _check(
-        "reduction sample is prefix-complete",
-        prefix_completeness(sample) is PrefixCompleteness.COMPLETE,
-    )
-    outcome = exists_consistent(SolveRequest(sample, k + 1, time_budget=args.budget))
-    if outcome.status is SolveStatus.TIMEOUT:
-        raise SolveTimeoutError(f"solver timed out at m={k + 1}")
-    _check(
-        f"exists consistent DFA with m = K+1 = {k + 1} states",
-        outcome.status is SolveStatus.SAT,
-        f"{outcome.status.value} at m={k + 1}",
-    )
-    found = chromatic_number(g)
-    assert found is not None
-    k_star, coloring = found
-    _check("chromatic number <= K", k_star <= k, f"k* = {k_star}")
-    m_star, _ = min_consistent(sample, k + 1, time_budget=args.budget)
-    _check(
-        "min consistent DFA size = chromatic number + 1",
-        m_star == k_star + 1,
-        f"m* = {m_star}, k* = {k_star}",
-    )
-    witness = zhang_dfa_from_coloring(g, coloring)
-    _check(
-        f"forward witness consistent with {witness.num_states} = k*+1 states",
-        not consistency_violations(witness, sample) and witness.num_states == k_star + 1,
-    )
-    extracted = coloring_from_zhang_dfa(witness.completed(), g)
-    _check(
-        "extraction returns a proper coloring with at most k* colors",
-        extracted.num_colors <= k_star,
-        f"extracted {extracted.num_colors} colors",
-    )
-
-
-def _verify_binary(args, g: Graph) -> None:
-    k = args.K
-    params = _params_for(args, g, k)
-    issues = param_warnings(g, params)
-    if issues:
-        raise ValueError("illegal parameters: " + "; ".join(issues))
-    enc = make_encoding(g, params)
-    sample = binary_sample(g, params, enc)
-    _check(
-        "reduction sample is prefix-complete",
-        prefix_completeness(sample) is PrefixCompleteness.COMPLETE,
-    )
-    found = chromatic_number(g, upper_bound=k)
-    _check(f"graph admits a {k}-coloring", found is not None)
-    assert found is not None
-    _k_star, coloring = found
-    witness = binary_dfa_from_coloring(g, coloring, params, enc)
-    bound = (k + 1) * params.L
-    _check("forward witness is consistent", not consistency_violations(witness, sample))
-    _check("forward witness is acyclic", witness.is_acyclic())
-    _check(
-        f"forward witness has fewer than (K+1)L = {bound} states",
-        witness.num_states < bound,
-        f"{witness.num_states} states",
-    )
-    extracted, analysis = coloring_from_binary_dfa(witness.completed(), g, params, enc)
-    _check(
-        "extraction from the witness stays within K classes",
-        extracted.num_colors <= k,
-        f"k_hat = {extracted.num_colors}",
-    )
-    _check(
-        "disjoint-chain count: k_hat * L <= witness states",
-        extracted.num_colors * params.L <= witness.num_states,
-    )
-    pta = prefix_tree_acceptor(sample).completed()
-    from_pta, _ = coloring_from_binary_dfa(pta, g, params, enc)
-    _check(
-        "prefix-tree extraction keeps one class per vertex",
-        from_pta.num_colors == g.num_vertices,
-        f"k_hat = {from_pta.num_colors}, |V| = {g.num_vertices}",
-    )
-    if args.ratio:
-        heuristic = rpni(sample)
-        report = ratio_report(g, heuristic, params, enc)
-        _check(
-            "ratio chain k* <= k_hat <= floor(m_hat / L)",
-            report.k_star <= report.k_hat <= report.m_hat // report.L,
-            json.dumps(report.as_dict(), sort_keys=True),
-        )
-
-
-def _verify_single(args, g: Graph) -> None:
-    k = args.K
-    params = _params_for(args, g, k)
-    issues = param_warnings(g, params)
-    if issues:
-        raise ValueError("illegal parameters: " + "; ".join(issues))
-    enc = make_encoding(g, params)
-    word, sample, run = single_string(g, params, enc)
-    expect_len = 2 * g.num_edges * params.block_len()
-    _check(
-        f"string length = 2|E|(N+head+L+tail) = {expect_len}",
-        len(word) == expect_len,
-        f"|Str| = {len(word)}",
-    )
-    _check(  # |Str| + 1 nodes, one of them spelling Str: one path, every node labeled
-        "sample is exactly the labeled prefixes of one string",
-        len(sample.labels) == len(word) + 1 and all(sample.labels) and sample.node(word) is not None
-        and len(dfa_sample_to_machine_sample(sample).runs) == 1,
-    )
-    _check(
-        "prefixes 0^j are positive for j in [1, N-1] and 0^N is negative",
-        all(sample.label((0,) * j) is True for j in (1, params.N - 1))
-        and sample.label((0,) * params.N) is False,
-    )
-    found = chromatic_number(g, upper_bound=k)
-    _check(f"graph admits a {k}-coloring", found is not None)
-    assert found is not None
-    _k_star, coloring = found
-    witness = single_dfa_from_coloring(g, coloring, params, enc)
-    bound = params.N + (k + 1) * params.L
-    _check("forward witness is consistent", not consistency_violations(witness, sample))
-    _check(
-        f"forward witness has at most N+(K+1)L = {bound} states",
-        witness.num_states <= bound,
-        f"{witness.num_states} states",
-    )
-    extracted = coloring_from_single_dfa(witness, g, params, enc)
-    _check(
-        "extraction stays within K classes",
-        extracted.num_colors <= k,
-        f"k_hat = {extracted.num_colors}",
-    )
-    two = two_chain_dfa(g, params, enc)
-    two_bound = 2 * (params.N + 2 * params.L)
-    _check(
-        f"two-chain automaton is consistent with fewer than 2(N+2L) = {two_bound} states",
-        two.num_states < two_bound and not consistency_violations(two, sample),
-        f"{two.num_states} states",
-    )
-
-
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.seed)
+    params = None if args.kind == "zhang" else _params_for(args, g, args.K)
     label = f"VERIFY {args.kind} {args.graph} K={args.K}"
-    try:
-        if args.kind == "zhang":
-            _verify_zhang(args, g)
-        elif args.kind == "binary":
-            _verify_binary(args, g)
-        else:
-            _verify_single(args, g)
-    except _CheckFailure as failure:
-        print(f"{label}: FAIL ({failure})")
-        return EXIT_FAIL
+    for check in certify(args.kind, g, args.K, params, args.budget, args.ratio):
+        line = f"CHECK {check.name}: {'PASS' if check.ok else 'FAIL'}"
+        print(f"{line} ({check.detail})" if check.detail else line)
+        if not check.ok:
+            print(f"{label}: FAIL ({check.name})")
+            return EXIT_FAIL
     print(f"{label}: PASS")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    src = Path(args.input).read_text()
     out = Path(args.output)
     if args.to in ("moore", "mealy"):
-        machine = automaton_from_json(src)
-        if isinstance(machine, PartialDfa):
-            machine = machine.completed()
-        if not isinstance(machine, Dfa):
-            raise ValueError(f"convert --to {args.to} needs a DFA document")
+        machine = _load_dfa(args.input, f"convert --to {args.to}")
         converted = machine.to_moore() if args.to == "moore" else machine.to_mealy()
         out.write_text(automaton_to_json(converted))
     elif args.to == "machine-sample":
-        sample = sample_from_abbadingo(src)
+        sample = sample_from_abbadingo(Path(args.input).read_text())
         ms = dfa_sample_to_machine_sample(sample)
         out.write_text(machine_sample_to_text(ms))
     elif args.to == "dfa-sample":
-        ms = machine_sample_from_text(src)
+        ms = machine_sample_from_text(Path(args.input).read_text())
         out.write_text(sample_to_abbadingo(machine_sample_to_dfa_sample(ms)))
     print(f"wrote {out}")
     return EXIT_OK

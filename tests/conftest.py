@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from dfalab import Alphabet, DfaSample, Graph
+from dfalab.certification import suite_graphs  # noqa: F401  (the acceptance family)
 
 # 5 vertices, 6 edges, chromatic number 3: two triangles sharing an edge,
 # plus a pendant vertex.  Used throughout as the standard demo instance.
@@ -41,20 +42,6 @@ def p4() -> Graph:
 @pytest.fixture
 def edgeless4() -> Graph:
     return Graph.edgeless(4)
-
-
-def suite_graphs() -> list[tuple[str, Graph]]:
-    """The acceptance family: six named graphs plus ten seeded G(6, 0.5)."""
-    named = [
-        ("triangle", Graph.complete(3)),
-        ("c5", Graph.cycle(5)),
-        ("k4", Graph.complete(4)),
-        ("demo5", Graph(5, frozenset(DEMO5_EDGES))),
-        ("edgeless4", Graph.edgeless(4)),
-        ("p4", Graph.path(4)),
-    ]
-    named += [(f"gnp6-seed{s}", Graph.gnp(6, 0.5, seed=s)) for s in range(10)]
-    return named
 
 
 def oracle_chromatic(g: Graph) -> int:

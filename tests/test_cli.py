@@ -217,6 +217,13 @@ class TestVerify:
         assert main(["verify", "--kind", "binary", "--graph", k3_col,
                      "--K", "3", "--L", "5"]) == 2
 
+    def test_zhang_budget_timeout(self, demo5_col, capsys):
+        assert main(["verify", "--kind", "zhang", "--graph", demo5_col,
+                     "--K", "3", "--budget", "1e-9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("timeout: time budget exhausted")
+        assert "VERIFY" not in captured.out
+
 
 class TestConvertAndDot:
     def test_dfa_to_moore_preserves_structure(self, k3_col, tmp_path):
@@ -240,6 +247,18 @@ class TestConvertAndDot:
         restored = sample_from_abbadingo(back.read_text())
         assert restored.positives == original.positives
         assert restored.negatives == original.negatives - {()}
+
+    def test_machine_document_is_usage_error(self, k3_col, tmp_path, capsys):
+        w, moore = tmp_path / "w.json", tmp_path / "m.json"
+        main(["witness", "--kind", "zhang", "--graph", k3_col, "--K", "3", "--out", str(w)])
+        main(["convert", "--to", "moore", str(w), str(moore)])
+        capsys.readouterr()
+        assert main(["convert", "--to", "mealy", str(moore), str(tmp_path / "out.json")]) == 2
+        assert main(["extract", "--kind", "zhang", "--graph", k3_col, "--dfa", str(moore)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: convert --to mealy needs a DFA document (moore/mealy given)",
+            "error: extract needs a DFA document (moore/mealy given)",
+        ]
 
     def test_incompatible_conversion(self, demo5_col, tmp_path):
         # demo5's vertex/edge alphabet has 11 symbols, so symbol 10 gets a
