@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Instantiate the approximation-ratio chain with the RPNI baseline.
 
-Builds the binary prefix-complete instance for each graph, runs the greedy
-merger on it, extracts a coloring from the result, and prints the ratio
-bookkeeping (k* <= k_hat <= floor(m_hat / L)) as JSON lines.
+Builds the binary prefix-complete instance for each graph of `suite_graphs`
+that has an edge, runs the greedy merger on it, extracts a coloring from
+the result, and prints the ratio bookkeeping (k* <= k_hat <= floor(m_hat / L))
+as JSON lines.
 """
 from __future__ import annotations
 
@@ -11,35 +12,25 @@ import argparse
 import json
 
 from dfalab import (
-    Graph,
     binary_sample,
     default_params,
     make_encoding,
     prefix_tree_acceptor,
     ratio_report,
     rpni,
+    suite_graphs,
 )
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="base seed for the random graphs")
     ap.add_argument("--random-graphs", type=int, default=5)
     ap.add_argument("--pta", action="store_true",
                     help="use the raw prefix tree as the heuristic instead of rpni")
     args = ap.parse_args()
 
-    graphs = [
-        ("triangle", Graph.complete(3)),
-        ("demo5", Graph(5, frozenset({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4)}))),
-        ("k4", Graph.complete(4)),
-    ]
-    graphs += [
-        (f"gnp6-{s}", Graph.gnp(6, 0.5, seed=args.seed + s))
-        for s in range(args.random_graphs)
-    ]
-
-    for name, g in graphs:
+    for name, g in suite_graphs(args.random_graphs, args.seed):
         if not g.num_edges:
             continue
         params = default_params(g, 3)

@@ -167,12 +167,6 @@ class DfaSample:
         object.__setattr__(self, "counts", (labels.count(1), labels.count(-1)))
 
     @classmethod
-    def from_labeled(cls, alphabet: Alphabet, strings: Iterable[LabeledString]) -> "DfaSample":
-        pos = frozenset(s.symbols for s in strings if s.label)
-        neg = frozenset(s.symbols for s in strings if not s.label)
-        return cls(alphabet, pos, neg)
-
-    @classmethod
     def from_runs(cls, alphabet: Alphabet, runs: Iterable[tuple[Word, tuple[bool, ...]]],
                   empty: bool | None = None) -> "DfaSample":
         """Every prefix of every run input `word`, the length-k one labeled
@@ -380,9 +374,6 @@ class PartialDfa:
     def accepts(self, word: Iterable[int]) -> bool:
         state = self.walk(word)
         return state is not None and state in self.accepting
-
-    def num_defined(self) -> int:
-        return sum(1 for row in self.transitions for t in row if t is not None)
 
     def is_acyclic(self) -> bool:
         """True iff no directed cycle is reachable from the initial state."""

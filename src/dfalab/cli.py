@@ -142,14 +142,18 @@ def _pick_coloring(args, g: Graph) -> tuple[int, Coloring]:
 # Subcommands
 
 
+def _warn_zhang_lengths(args) -> None:
+    if args.L is not None or args.N is not None:
+        print("warning: --L/--N are ignored for the zhang reduction", file=sys.stderr)
+
+
 def cmd_reduce(args) -> int:
     g = _load_graph(args.graph, args.seed)
     out = Path(args.out)
     meta_path = Path(args.meta) if args.meta else out.with_suffix(out.suffix + ".meta.json")
 
     if args.kind == "zhang":
-        if args.L is not None or args.N is not None:
-            print("warning: --L/--N are ignored for the zhang reduction", file=sys.stderr)
+        _warn_zhang_lengths(args)
         sample = zhang_sample(g)
         meta = reduction_metadata("zhang", g)
     else:
@@ -271,7 +275,11 @@ def cmd_extract(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph, args.seed)
-    params = None if args.kind == "zhang" else _params_for(args, g, args.K)
+    if args.kind == "zhang":
+        _warn_zhang_lengths(args)
+        params = None
+    else:
+        params = _params_for(args, g, args.K)
     label = f"VERIFY {args.kind} {args.graph} K={args.K}"
     for check in certify(args.kind, g, args.K, params, args.budget, args.ratio):
         line = f"CHECK {check.name}: {'PASS' if check.ok else 'FAIL'}"

@@ -103,7 +103,7 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     if kind == "partial-dfa":
         return PartialDfa(num_states, alphabet, initial, table, frozenset(d.get("accepting", [])))
     missing = [(q, a) for q, row in enumerate(rows) for a, t in enumerate(row) if t is None]
-    if missing and kind != "partial-dfa":
+    if missing:
         raise FormatError(f"{kind} document is missing transitions, e.g. {missing[0]}")
     if kind == "dfa":
         return Dfa(num_states, alphabet, initial, table, frozenset(d.get("accepting", [])))
@@ -113,19 +113,17 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
             raise FormatError("moore document needs one output per state")
         output = tuple(_parse_out_symbol(s, "moore output") for s in out)
         return MooreMachine(num_states, alphabet, initial, table, output)
-    if kind == "mealy":
-        out = d.get("output", [])
-        if len(out) != len(edges):
-            raise FormatError("mealy document needs one output per transition")
-        by_edge = {}
-        for entry, s in zip(edges, out):
-            q, a, _t = (int(x) for x in entry)
-            by_edge[(q, a)] = _parse_out_symbol(s, "mealy output")
-        output = tuple(
-            tuple(by_edge[(q, a)] for a in range(alphabet.size)) for q in range(num_states)
-        )
-        return MealyMachine(num_states, alphabet, initial, table, output)
-    raise FormatError(f"unknown automaton type {kind!r}")
+    out = d.get("output", [])  # mealy, the one type left
+    if len(out) != len(edges):
+        raise FormatError("mealy document needs one output per transition")
+    by_edge = {}
+    for entry, s in zip(edges, out):
+        q, a, _t = (int(x) for x in entry)
+        by_edge[(q, a)] = _parse_out_symbol(s, "mealy output")
+    output = tuple(
+        tuple(by_edge[(q, a)] for a in range(alphabet.size)) for q in range(num_states)
+    )
+    return MealyMachine(num_states, alphabet, initial, table, output)
 
 
 def dumps_json(obj: dict[str, Any]) -> str:

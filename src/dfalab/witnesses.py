@@ -2,15 +2,19 @@
 
 Forward direction: a proper coloring of the graph yields a consistent
 automaton within the advertised state bound (one construction per
-reduction).  Converse direction: any consistent DFA within the bound
-yields a proper coloring, extracted from where the zero-run chains end.
-Also here: the chromatic-independent two-chain machine for the
-single-string instance, and the bookkeeping relating a heuristic solver's
-output size to the chromatic number.
+reduction), each a quotient of its sample's prefix tree: it lists the
+steps of the strings it must realize, naming each target state by a key,
+and `_quotient` merges the prefixes that share a key.  Converse
+direction: any consistent DFA within the bound yields a proper coloring,
+extracted from where the zero-run chains end.  Also here: the
+chromatic-independent two-chain machine for the single-string instance,
+and the bookkeeping relating a heuristic solver's size to the chromatic
+number.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .automata import Alphabet, Dfa, PartialDfa, Word, consistency_violations
 from .graphs import Coloring, Graph, chromatic_number, is_proper_coloring
@@ -77,30 +81,44 @@ class RatioReport:
         }
 
 
-class _Builder:
-    """Mutable construction buffer for partial DFAs."""
+def _quotient(alphabet: Alphabet, runs: Iterable[Iterable[tuple]]) -> PartialDfa:
+    """The automaton whose states are the keys the runs name.
 
-    def __init__(self, alphabet: Alphabet):
-        self.alphabet = alphabet
-        self.rows: list[list[int | None]] = []
-        self.accepting: set[int] = set()
+    A step (symbol, key, accepting) reads `symbol` and lands in the state
+    named `key`, which accepts iff `accepting`.  A run's first step has
+    symbol None: it places the run in `key` without reading.  Keys are
+    numbered by first appearance, so the first run starts in the initial
+    state.  Raises ExtractionError when two steps land in one key but
+    disagree on acceptance, or leave one key by one symbol for two.
+    """
+    number: dict = {}
+    accepting: list[bool] = []
+    rows: list[list[int | None]] = []
+    for run in runs:
+        q = None
+        for a, key, acc in run:
+            t = number.get(key)
+            if t is None:
+                t = number[key] = len(rows)
+                rows.append([None] * alphabet.size)
+                accepting.append(acc)
+            elif accepting[t] != acc:
+                raise ExtractionError(f"state {key!r} is reached both accepting and rejecting")
+            if a is not None:
+                if rows[q][a] is None:
+                    rows[q][a] = t
+                elif rows[q][a] != t:
+                    raise ExtractionError(f"state {list(number)[q]!r} has two successors on {a}")
+            q = t
+    accepts = frozenset(q for q, acc in enumerate(accepting) if acc)
+    return PartialDfa(len(rows), alphabet, 0, tuple(map(tuple, rows)), accepts)
 
-    def state(self, accepting: bool = False) -> int:
-        q = len(self.rows)
-        self.rows.append([None] * self.alphabet.size)
-        if accepting:
-            self.accepting.add(q)
-        return q
 
-    def link(self, src: int, symbol: int, dst: int) -> None:
-        cur = self.rows[src][symbol]
-        if cur is not None and cur != dst:
-            raise ExtractionError(f"conflicting transition ({src}, {symbol})")
-        self.rows[src][symbol] = dst
-
-    def partial(self, initial: int) -> PartialDfa:
-        rows = tuple(tuple(r) for r in self.rows)
-        return PartialDfa(len(rows), self.alphabet, initial, rows, frozenset(self.accepting))
+def _spell(tag, code: Word, key, accepting: bool) -> list[tuple]:
+    """Steps reading `code`: proper prefixes p land in rejecting (tag, p), the whole in `key`."""
+    steps = [(a, (tag, code[:d]), False) for d, a in enumerate(code[:-1], 1)]
+    steps.append((code[-1], key, accepting))
+    return steps
 
 
 def _require_proper(g: Graph, coloring: Coloring) -> None:
@@ -166,24 +184,20 @@ def _walk_single_run(
 
 
 def zhang_dfa_from_coloring(g: Graph, coloring: Coloring) -> PartialDfa:
-    """K+1 states: the accepting initial state plus one state per color.
+    """The accepting initial state plus one state per used color.
 
-    Reading a vertex symbol moves to its color state; reading an edge
+    Reading a vertex symbol moves to its color's state; reading an edge
     symbol from the smaller endpoint's color returns to the initial state,
     from the larger endpoint's color it stays put.
     """
     _require_proper(g, coloring)
-    alphabet = zhang_alphabet(g)
-    k = coloring.num_colors
-    rows: list[list[int | None]] = [[None] * alphabet.size for _ in range(k + 1)]
-    for v in range(g.num_vertices):
-        rows[0][v] = coloring.colors[v]
-    nv = g.num_vertices
+    colors, nv = coloring.colors, g.num_vertices
+    root = ("head", ())
+    runs = [[(None, root, True), (v, (c, 0), False)] for v, c in enumerate(colors)]
     for rank, (i, j) in enumerate(g.canonical_edges()):
-        sym = nv + rank
-        rows[coloring.colors[i]][sym] = 0
-        rows[coloring.colors[j]][sym] = coloring.colors[j]
-    return PartialDfa(k + 1, alphabet, 0, tuple(tuple(r) for r in rows), frozenset({0}))
+        runs.append([(None, (colors[i], 0), False), (nv + rank, root, True)])
+        runs.append([(None, (colors[j], 0), False), (nv + rank, (colors[j], 0), False)])
+    return _quotient(zhang_alphabet(g), runs)
 
 
 def _group_by_first_occurrence(states: list[int]) -> tuple[list[int], int]:
@@ -212,60 +226,41 @@ def coloring_from_zhang_dfa(m: Dfa, g: Graph) -> Coloring:
 # Binary prefix-complete reduction
 
 
+def _binary_runs(
+    g: Graph, coloring: Coloring, params: ReductionParams, enc: Encoding, after_tail=()
+) -> list[list[tuple]]:
+    """The runs of the binary witness, `after_tail` continuing every tail:
+    each head code, body chain and (color, edge) tail is walked once, its
+    states keyed ("head", prefix), (color, body position), (color, prefix).
+    """
+    _require_proper(g, coloring)
+    _require_legal(g, params)
+    _check_encoding(g, params, enc)
+    L, colors = params.L, coloring.colors
+    runs = [[(None, ("head", ()), False), *_spell("head", code, (colors[v], 0), False)]
+            for v, code in enumerate(enc.vertex_codes)]
+    for c in sorted(set(colors)):
+        runs.append([(None, (c, 0), False), *((0, (c, h), h == L) for h in range(1, L + 1))])
+    for rank, (i, j) in enumerate(g.canonical_edges()):
+        code = enc.edge_codes[rank]
+        for c in (colors[i], colors[j]):
+            runs.append([(None, (c, L), True), *_spell(c, code, (c, code), c == colors[i]),
+                         *after_tail])
+    return runs
+
+
 def binary_dfa_from_coloring(
     g: Graph, coloring: Coloring, params: ReductionParams, enc: Encoding
 ) -> PartialDfa:
     """Acyclic consistent automaton with one zero-chain per used color.
 
-    Head: a shared-prefix binary trie over the vertex codes whose final
-    edges land on the chain of the vertex's color.  Body: chains of L+1
-    states, only the last accepting.  Tail: per-chain tries over the codes
-    of incident edges; a terminal accepts iff the chain's color belongs to
-    the smaller endpoint.
+    Head: the shared prefixes of the vertex codes, each code ending on the
+    chain of its vertex's color.  Body: chains of L+1 states, only the last
+    accepting.  Tail: from each chain's end, the shared prefixes of the
+    codes of the edges at that color; a full code accepts iff the chain's
+    color belongs to the smaller endpoint.
     """
-    _require_proper(g, coloring)
-    _require_legal(g, params)
-    _check_encoding(g, params, enc)
-    L = params.L
-    b = _Builder(Alphabet.binary())
-    root = b.state()  # initial; the empty string is negative
-
-    used = sorted(set(coloring.colors))
-    chain: dict[int, list[int]] = {}
-    for k in used:
-        states = [b.state(accepting=(h == L)) for h in range(L + 1)]
-        for h in range(L):
-            b.link(states[h], 0, states[h + 1])
-        chain[k] = states
-
-    prefix_node: dict[Word, int] = {(): root}
-    for v, code in enumerate(enc.vertex_codes):
-        for d in range(1, len(code)):
-            p = code[:d]
-            if p not in prefix_node:
-                prefix_node[p] = b.state()
-                b.link(prefix_node[code[: d - 1]], code[d - 1], prefix_node[p])
-        b.link(prefix_node[code[:-1]], code[-1], chain[coloring.colors[v]][0])
-
-    edges = g.canonical_edges()
-    for k in used:
-        tail_node: dict[Word, int] = {(): chain[k][L]}
-        for rank, (i, j) in enumerate(edges):
-            if coloring.colors[i] != k and coloring.colors[j] != k:
-                continue
-            code = enc.edge_codes[rank]
-            for d in range(1, len(code)):
-                p = code[:d]
-                if p not in tail_node:
-                    tail_node[p] = b.state()
-                    b.link(tail_node[code[: d - 1]], code[d - 1], tail_node[p])
-            if code in tail_node:
-                raise ExtractionError("tail-path conflict: two edges share a code")
-            terminal = b.state(accepting=(coloring.colors[i] == k))
-            tail_node[code] = terminal
-            b.link(tail_node[code[:-1]], code[-1], terminal)
-
-    return b.partial(initial=root)
+    return _quotient(Alphabet.binary(), _binary_runs(g, coloring, params, enc))
 
 
 def _chain_of(m: Dfa, start_word: Word, L: int, from_state: int | None = None) -> list[int]:
@@ -338,44 +333,17 @@ def single_dfa_from_coloring(
 ) -> Dfa:
     """The binary witness plus an N-state accepting zero-chain in front.
 
-    The chain absorbs each block's leading zero run and ends in the binary
-    witness's initial state; every full-string terminal loops back into the
-    chain's second state.  Completed with self-loops into a total DFA.
+    Key ("zero", t) stands for the prefixes 0^t of every block's leading
+    zero run, accepting for t >= 1; the chain ends in the binary witness's
+    initial state, and a zero read after any full tail code re-enters it
+    at 0^1.  Completed with self-loops into a total DFA.
     """
-    _require_legal(g, params)
     if coloring.num_colors > params.K:
-        raise ValueError(
-            f"coloring uses {coloring.num_colors} colors but params.K = {params.K}"
-        )
-    base = binary_dfa_from_coloring(g, coloring, params, enc)
-    rows = [list(r) for r in base.transitions]
-    accepting = set(base.accepting)
-
-    terminals = set()
-    for v, rank, _edge in incident_pairs(g):
-        word = enc.vertex_codes[v] + (0,) * params.L + enc.edge_codes[rank]
-        t = base.walk(word)
-        if t is None:
-            raise ExtractionError("binary witness does not realize a generated string")
-        terminals.add(t)
-
-    first = len(rows)  # chain states first..first+N-1; first is the new initial
-    for t in range(params.N):
-        rows.append([None, None])
-        if t >= 1:
-            accepting.add(first + t)
-    for t in range(params.N - 1):
-        rows[first + t][0] = first + t + 1
-    rows[first + params.N - 1][0] = base.initial
-    for t in sorted(terminals):
-        if rows[t][0] is not None:
-            raise ExtractionError("full-string terminal already has a zero transition")
-        rows[t][0] = first + 1
-
-    pdfa = PartialDfa(
-        len(rows), Alphabet.binary(), first, tuple(tuple(r) for r in rows), frozenset(accepting)
-    )
-    return pdfa.completed()
+        raise ValueError(f"coloring uses {coloring.num_colors} colors but params.K = {params.K}")
+    zero_run = [(None, ("zero", 0), False), *((0, ("zero", t), True) for t in range(1, params.N)),
+                (0, ("head", ()), False)]
+    runs = _binary_runs(g, coloring, params, enc, after_tail=[(0, ("zero", 1), True)])
+    return _quotient(Alphabet.binary(), [zero_run, *runs]).completed()
 
 
 def coloring_from_single_dfa(
@@ -419,12 +387,13 @@ def two_chain_dfa(g: Graph, params: ReductionParams, enc: Encoding) -> Dfa:
     """Consistent automaton for the single-string sample with fewer than
     2(N + 2L) states, no matter the graph's chromatic number.
 
-    Two input-oblivious chains carry the fixed per-block label pattern; the
-    block's final tail code steers into one of four connector states that
-    encode (this block's sign, next block's sign).  The two occurrences of
-    an edge code have opposite signs, so each chain sees each code once and
-    the connectors are well defined.  The layout is certified by a
-    consistency check at build time.
+    Two input-oblivious chains, keyed (sign, index) and linked on both
+    symbols, carry the fixed per-block label pattern; the block's final
+    tail code steers into the connector keyed (this block's sign, next
+    block's sign), one per pair that occurs, which leads into the next
+    block's chain.  The two occurrences of an edge code have opposite
+    signs, so each chain sees each code once and the connectors are well
+    defined.  A walk along the string certifies the layout at build time.
     """
     _require_legal(g, params)
     _check_encoding(g, params, enc)
@@ -434,51 +403,20 @@ def two_chain_dfa(g: Graph, params: ReductionParams, enc: Encoding) -> Dfa:
 
     signs = [v == i for v, _rank, (i, _j) in pairs]
     next_signs = signs[1:] + [True]  # last block exits arbitrarily; no input remains
-
-    b = _Builder(Alphabet.binary())
-    start = b.state()
-    chain_len = params.N + params.head_len + params.L
-    chains: dict[bool, list[int]] = {}
+    # position p of a block sits on chain index p-1: accepting inside the
+    # leading zero run (except its end) and at the body end
+    end = params.N + params.head_len + params.L - 1
+    accept = [idx <= params.N - 2 or idx == end for idx in range(end + 1)]
+    runs = [[(None, (), False), (0, (signs[0], 0), accept[0])]]
     for sign in (True, False):
-        # position p of a block sits on chain index p-1: accepting inside the
-        # leading zero run (except its end) and at the body end
-        states = [
-            b.state(accepting=(idx <= params.N - 2 or idx == chain_len - 1))
-            for idx in range(chain_len)
-        ]
-        for idx in range(chain_len - 1):
-            b.link(states[idx], 0, states[idx + 1])
-            b.link(states[idx], 1, states[idx + 1])
-        chains[sign] = states
-
-    connector: dict[tuple[bool, bool], int] = {}
-    for a in (True, False):
-        for nxt in (True, False):
-            q = b.state(accepting=a)
-            connector[(a, nxt)] = q
-            b.link(q, 0, chains[nxt][0])
-
-    tail_nodes: dict[bool, dict[Word, int]] = {
-        True: {(): chains[True][-1]},
-        False: {(): chains[False][-1]},
-    }
-    seen_codes: dict[bool, set[Word]] = {True: set(), False: set()}
-    for t, (v, rank, (i, j)) in enumerate(pairs):
-        sign = signs[t]
+        for a in (0, 1):
+            runs.append([(None if idx == 0 else a, (sign, idx), accept[idx])
+                         for idx in range(end + 1)])
+    for (_v, rank, _edge), sign, nxt in zip(pairs, signs, next_signs):
         code = enc.edge_codes[rank]
-        if code in seen_codes[sign]:
-            raise ExtractionError("edge code appears twice with the same sign")
-        seen_codes[sign].add(code)
-        nodes = tail_nodes[sign]
-        for d in range(1, len(code)):
-            p = code[:d]
-            if p not in nodes:
-                nodes[p] = b.state()
-                b.link(nodes[code[: d - 1]], code[d - 1], nodes[p])
-        b.link(nodes[code[:-1]], code[-1], connector[(sign, next_signs[t])])
-
-    b.link(start, 0, chains[signs[0]][0])
-    dfa = b.partial(initial=start).completed()
+        runs.append([(None, (sign, end), True), *_spell(sign, code, ("connector", sign, nxt), sign),
+                     (0, (nxt, 0), accept[0])])
+    dfa = _quotient(Alphabet.binary(), runs).completed()
 
     word, labels = single_run(g, params, enc)
     _walk_single_run(dfa, word, labels, "two-chain construction self-check")

@@ -217,6 +217,16 @@ class TestVerify:
         assert main(["verify", "--kind", "binary", "--graph", k3_col,
                      "--K", "3", "--L", "5"]) == 2
 
+    def test_zhang_warns_that_lengths_are_ignored(self, k3_col, capsys):
+        assert main(["verify", "--kind", "zhang", "--graph", k3_col, "--K", "3"]) == 0
+        plain = capsys.readouterr()
+        assert main(["verify", "--kind", "zhang", "--graph", k3_col, "--K", "3",
+                     "--L", "5", "--N", "7"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out
+        assert plain.err == ""
+        assert captured.err == "warning: --L/--N are ignored for the zhang reduction\n"
+
     def test_zhang_budget_timeout(self, demo5_col, capsys):
         assert main(["verify", "--kind", "zhang", "--graph", demo5_col,
                      "--K", "3", "--budget", "1e-9"]) == 3

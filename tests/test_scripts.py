@@ -38,5 +38,6 @@ def test_certify_suite_prints_one_row_per_graph_and_kind(monkeypatch, capsys):
 def test_ratio_experiment_prints_json_lines(extra, monkeypatch, capsys):
     assert run_script("ratio_experiment.py", ["--random-graphs", "2", *extra], monkeypatch) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert [r["graph"] for r in records] == ["triangle", "demo5", "k4", "gnp6-0", "gnp6-1"]
+    assert [r["graph"] for r in records] == [
+        "triangle", "c5", "k4", "demo5", "p4", "gnp6-seed0", "gnp6-seed1"]
     assert all(r["k_star"] <= r["k_hat"] <= r["m_hat"] // r["L"] for r in records)

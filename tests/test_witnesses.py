@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from dfalab import (
+    Alphabet,
     Coloring,
     Dfa,
+    ExtractionError,
     Graph,
     InconsistentDfaError,
     binary_dfa_from_coloring,
@@ -29,6 +31,7 @@ from dfalab import (
     zhang_dfa_from_coloring,
     zhang_sample,
 )
+from dfalab.witnesses import _quotient
 
 from conftest import suite_graphs
 
@@ -306,3 +309,61 @@ def test_round_trips_across_the_suite():
         assert bw.num_states < (k + 1) * params.L, name
         extracted, _ = coloring_from_binary_dfa(bw.completed(), g, params, enc)
         assert extracted.num_colors <= k, name
+
+
+class TestQuotient:
+    def test_keys_become_states_in_order_of_first_appearance(self):
+        # the strings 0, 00 and 1 with 00 merged into the empty prefix
+        runs = [[(None, "root", False), (0, "zero", True), (0, "root", False)],
+                [(None, "root", False), (1, "one", True)]]
+        q = _quotient(Alphabet.binary(), runs)
+        assert q.transitions == ((1, 2), (0, None), (None, None))
+        assert q.accepting == frozenset({1, 2})
+
+    def test_one_key_both_accepting_and_rejecting(self):
+        runs = [[(None, "root", False), (0, "x", True)],
+                [(None, "root", False), (1, "x", False)]]
+        with pytest.raises(ExtractionError, match="both accepting and rejecting"):
+            _quotient(Alphabet.binary(), runs)
+
+    def test_one_key_two_successors(self):
+        runs = [[(None, "root", False), (0, "x", False), (1, "y", True)],
+                [(None, "root", False), (1, "x", False), (1, "z", True)]]
+        with pytest.raises(ExtractionError, match="two successors on 1"):
+            _quotient(Alphabet.binary(), runs)
+
+
+# Forward-witness state counts at K = k*: (zhang, binary, single, two-chain),
+# single and two-chain only on graphs with an edge.
+WITNESS_STATES = {
+    "triangle": (4, 92, 193, 265),
+    "c5": (4, 184, 389, 533),
+    "k4": (5, 248, 514, 657),
+    "demo5": (4, 207, 436, 593),
+    "edgeless4": (2, 21),
+    "p4": (3, 73, 161, 245),
+    "gnp6-seed0": (4, 218, 463, 633),
+    "gnp6-seed1": (4, 344, 733, 1003),
+    "gnp6-seed2": (4, 216, 461, 633),
+    "gnp6-seed3": (5, 338, 704, 901),
+    "gnp6-seed4": (5, 519, 1085, 1391),
+    "gnp6-seed5": (4, 197, 418, 573),
+    "gnp6-seed6": (4, 240, 509, 695),
+    "gnp6-seed7": (4, 401, 854, 1165),
+    "gnp6-seed8": (4, 368, 789, 1083),
+    "gnp6-seed9": (4, 259, 552, 755),
+}
+
+
+@pytest.mark.parametrize("name,g", suite_graphs(), ids=[n for n, _ in suite_graphs()])
+def test_forward_witness_state_counts(name, g):
+    k, coloring = oracle_coloring(g)
+    params = default_params(g, k)
+    enc = make_encoding(g, params)
+    binary = binary_dfa_from_coloring(g, coloring, params, enc)
+    assert binary.is_acyclic()
+    counts = [zhang_dfa_from_coloring(g, coloring).num_states, binary.num_states]
+    if g.num_edges:
+        counts.append(single_dfa_from_coloring(g, coloring, params, enc).num_states)
+        counts.append(two_chain_dfa(g, params, enc).num_states)
+    assert tuple(counts) == WITNESS_STATES[name]
