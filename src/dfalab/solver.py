@@ -3,23 +3,32 @@ a brute-force enumeration oracle for tiny binary instances and the greedy
 RPNI merge baseline.
 
 The exact search folds the sample's prefix tree into at most m classes
-with determinization closure.  Tree states are processed in breadth-first
-order; each may join an existing class (tried in ascending creation
-order) or open the next class index, which breaks class-renaming
-symmetry.  The search is sequential and therefore deterministic, and it
-keeps its choices on an explicit stack, so tree depth is not bounded by
-the interpreter's recursion limit.
+with determinization closure.  Any such quotient properly colors the
+tree's conflict graph (two nodes conflict when some suffix gives them
+opposite labels), and the search uses that graph twice.  Nodes are taken
+level by level in breadth-first order, and within a level by descending
+number of conflicts inside the level, ties by breadth-first position, so
+parents still come before children.  A greedy clique over that order
+(a node joins when it conflicts with every node already in) is a lower
+bound: more clique nodes than m decides UNSAT at once.  Otherwise the
+clique nodes are fixed as the first classes, which breaks class-renaming
+symmetry.  Every other node may join an existing class (tried in
+ascending creation order) or open the next class index.  The search is
+sequential and therefore deterministic, and it keeps its choices on an
+explicit stack, so tree depth is not bounded by the interpreter's
+recursion limit.
 
 Both the exact search and RPNI ask the prefix tree first whether the two
-nodes they are about to fold *conflict*: some suffix leads them to
-opposite labels.  A conflicting pair cannot share a class in any
-consistent quotient, so its fold would fail; it is skipped (and still
-counted in `states_explored`).  The answers come from a memo of one byte
-per unordered node pair, n(n-1)/2 bytes for an n-node tree, filled lazily.
-Skipping leaves every search step, witness and RPNI automaton as it was.
+nodes they are about to fold conflict.  A conflicting pair cannot share a
+class in any consistent quotient, so its fold would fail; it is skipped
+(and still counted in `states_explored`).  The answers come from a memo of
+one byte per unordered node pair, n(n-1)/2 bytes for an n-node tree,
+filled lazily.  RPNI keeps plain breadth-first order and never builds the
+exact search's order or clique.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import time
 from dataclasses import dataclass
@@ -71,9 +80,15 @@ class _Timeout(Exception):
     pass
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise _Timeout
+
+
 class _Pta:
     """The sample's prefix tree (shared, not copied) with its breadth-first
-    node order and a lazily filled memo of which node pairs conflict."""
+    node order, a lazily filled memo of which node pairs conflict, and the
+    exact search's node order and clique, built on first request."""
 
     def __init__(self, sample: DfaSample):
         self.children = sample.children
@@ -83,6 +98,7 @@ class _Pta:
             self.bfs.extend(self.children[node].values())  # in symbol order
         n = len(self.labels)
         self._pairs = bytearray(n * (n - 1) // 2)  # 0 unknown, 1 compatible, 2 conflict
+        self._plan: tuple[list[int], list[int]] | None = None
 
     def conflict(self, u: int, v: int) -> bool:
         """Whether some suffix w labels u.w and v.w oppositely.
@@ -127,6 +143,47 @@ class _Pta:
                         cx, cy = cy, cx
                     stack.append((cy * (cy - 1) // 2 + cx, cx, cy))
         return False
+
+    def search_plan(self, deadline: float | None) -> tuple[list[int], list[int]]:
+        """The exact search's node order and a greedy clique over it.
+
+        The order is breadth-first level by level; a level is sorted by
+        descending conflict degree inside the level, ties by breadth-first
+        position.  The clique takes each node of the order that conflicts
+        with every node taken before it.  Both are computed once per tree;
+        raises _Timeout, keeping nothing, if the deadline passes first.
+        """
+        if self._plan is None:
+            conflict, labels, children = self.conflict, self.labels, self.children
+            depth = [0] * len(labels)
+            for node in self.bfs:
+                for child in children[node].values():
+                    depth[child] = depth[node] + 1
+            degree = [0] * len(labels)
+            for _depth, nodes in itertools.groupby(self.bfs, depth.__getitem__):
+                level = list(nodes)
+                # a leaf's only suffix is the empty one: it conflicts exactly
+                # with the nodes of opposite label, so count those by label
+                everyone = collections.Counter(labels[u] for u in level)
+                leaves = collections.Counter(labels[u] for u in level if not children[u])
+                for u in level:
+                    if labels[u]:
+                        degree[u] = (leaves if children[u] else everyone)[-labels[u]]
+                inner = [u for u in level if children[u]]
+                for i, u in enumerate(inner):
+                    _check_deadline(deadline)
+                    for v in inner[i + 1:]:
+                        if conflict(u, v):
+                            degree[u] += 1
+                            degree[v] += 1
+            order = sorted(self.bfs, key=lambda node: (depth[node], -degree[node]))  # ties keep BFS order
+            clique: list[int] = []
+            for node in order:
+                _check_deadline(deadline)
+                if all(conflict(node, c) for c in reversed(clique)):  # a late member refuses first
+                    clique.append(node)
+            self._plan = order, clique
+        return self._plan
 
 
 class _MergeEngine:
@@ -217,9 +274,13 @@ class _MergeEngine:
 
 
 class _ExactSearch:
-    def __init__(self, pta: _Pta, max_states: int, require_acyclic: bool, deadline: float | None):
+    def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
+                 require_acyclic: bool, deadline: float | None):
         self.pta = pta
         self.engine = _MergeEngine(pta)
+        self.engine.reds.extend(clique)  # the first classes, fixed
+        self.engine.red_set.update(clique)
+        self.order = [node for node in order if node not in self.engine.red_set]
         self.max_states = max_states
         self.require_acyclic = require_acyclic
         self.deadline = deadline
@@ -229,17 +290,17 @@ class _ExactSearch:
         """Depth-first search over merge choices with an explicit stack.
 
         A frame holds one tree node's choices: each class existing when the
-        node was reached, in creation order, then a new class.  Pairs the
-        prefix tree already knows to conflict are counted but never folded.
+        node was reached, in creation order, then a new class.  Clique nodes
+        are classes from the start and get no frame.  Pairs the prefix tree
+        already knows to conflict are counted but never folded.
         """
         eng = self.engine
-        order = self.pta.bfs
+        order = self.order
         conflict = self.pta.conflict
         frames: list[list] = []  # [order index, node, classes, choices taken, trail mark]
         idx = 0
         while True:
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise _Timeout
+            _check_deadline(self.deadline)
             while idx < len(order) and eng.find(order[idx]) != order[idx]:
                 idx += 1
             if idx == len(order):
@@ -262,7 +323,7 @@ class _ExactSearch:
                     if conflict(red, node):
                         continue
                     if eng.fold(red, node) and (
-                        not self.require_acyclic or eng.quotient_acyclic(order[0])
+                        not self.require_acyclic or eng.quotient_acyclic(0)
                     ):
                         break
                     eng.undo(mark)
@@ -282,26 +343,37 @@ class _ExactSearch:
                 return False
 
 
-def exists_consistent(req: SolveRequest) -> SolveOutcome:
+def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOutcome:
     """Exact decision: is some consistent automaton within max_states?
 
     A SAT outcome carries a verified witness (total DFA, or a partial
-    acyclic one when require_acyclic is set).  UNSAT is returned only
-    after the merge search is exhausted; running out of time yields a
-    TIMEOUT status, never a wrong answer.
+    acyclic one when require_acyclic is set).  UNSAT comes either from the
+    clique bound, with 0 states explored, when the greedy clique of the
+    prefix tree's conflict graph has more than max_states nodes, or from
+    the exhausted merge search.  Running out of time yields a TIMEOUT
+    status, never a wrong answer; the deadline is checked before the
+    clique bound and while the clique is built.
 
     The search ranges over quotients of the sample's prefix tree, so every
     witness realizes every sample string.  In acyclic mode this is part of
     the contract: a partial automaton that lets some negative strings fall
     off early is not considered.
+
+    `_pta` lets `min_consistent` share one prefix tree, with its conflict
+    memo, order and clique, between the state bounds it decides.
     """
     deadline = time.monotonic() + req.time_budget if req.time_budget is not None else None
-    pta = _Pta(req.sample)
-    search = _ExactSearch(pta, req.max_states, req.require_acyclic, deadline)
+    pta = _pta if _pta is not None else _Pta(req.sample)
+    search = None
     try:
+        _check_deadline(deadline)
+        order, clique = pta.search_plan(deadline)
+        if len(clique) > req.max_states:
+            return SolveOutcome(SolveStatus.UNSAT, None, 0)
+        search = _ExactSearch(pta, order, clique, req.max_states, req.require_acyclic, deadline)
         sat = search.run()
     except _Timeout:
-        return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored)
+        return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
     if not sat:
         return SolveOutcome(SolveStatus.UNSAT, None, search.explored)
     partial = search.engine.materialize(req.sample.alphabet)
@@ -320,21 +392,24 @@ def min_consistent(
     time_budget: float | None = None,
 ) -> tuple[int, Dfa | PartialDfa]:
     """Smallest state count admitting a consistent automaton, found by
-    deciding m = 1, 2, ... up to upper_bound.
+    deciding m = 1, 2, ... up to upper_bound with `exists_consistent`.
 
-    Raises BoundExceededError when every m up to the bound is UNSAT and
-    SolveTimeoutError when the shared time budget runs out first.
+    One prefix tree serves every m, so its conflict memo, search order and
+    clique are built once; each m below the clique size is UNSAT with no
+    search.  Raises BoundExceededError when every m up to the bound is
+    UNSAT and SolveTimeoutError when the shared time budget runs out first.
     """
     if upper_bound < 1:
         raise ValueError("upper_bound must be at least 1")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
+    pta = _Pta(sample)
     for m in range(1, upper_bound + 1):
         remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SolveTimeoutError(f"time budget exhausted before deciding m={m}")
-        outcome = exists_consistent(SolveRequest(sample, m, require_acyclic, remaining))
+        outcome = exists_consistent(SolveRequest(sample, m, require_acyclic, remaining), _pta=pta)
         if outcome.status is SolveStatus.SAT:
             assert outcome.witness is not None
             return m, outcome.witness

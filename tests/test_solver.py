@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from dfalab import (
     SolveStatus,
     binary_sample,
     brute_force_min,
+    chromatic_number,
     default_params,
     exists_consistent,
     is_consistent,
@@ -27,9 +29,11 @@ from dfalab import (
     prefix_tree_acceptor,
     rpni,
     single_string,
+    suite_graphs,
     zhang_sample,
 )
 
+from dfalab import solver
 from dfalab.solver import _MergeEngine, _Pta
 
 from conftest import DEMO5_EDGES, random_sample
@@ -49,8 +53,18 @@ class TestExistsConsistent:
         assert out.witness.num_states <= 4
 
     def test_demo5_zhang_unsat_at_three(self, demo5):
-        # three states would mean a 2-coloring; the graph has a triangle
+        # three states would mean a 2-coloring; the graph has a triangle, so
+        # the root and the triangle's vertex nodes are a 4-clique of
+        # conflicting tree nodes, and the clique bound decides without search
         out = exists_consistent(SolveRequest(zhang_sample(demo5), 3))
+        assert out.status is SolveStatus.UNSAT
+        assert out.witness is None
+        assert out.states_explored == 0
+
+    def test_c5_zhang_unsat_at_three_needs_the_search(self):
+        # c5 has no triangle: the greedy clique has 3 nodes, so the odd cycle
+        # must be refuted by the merge search itself
+        out = exists_consistent(SolveRequest(zhang_sample(Graph.cycle(5)), 3))
         assert out.status is SolveStatus.UNSAT
         assert out.witness is None
         assert out.states_explored > 0
@@ -64,6 +78,27 @@ class TestExistsConsistent:
         out = exists_consistent(SolveRequest(zhang_sample(k4), 4, time_budget=1e-9))
         assert out.status is SolveStatus.TIMEOUT
         assert out.witness is None
+
+    def test_deadline_comes_before_the_clique_bound(self, k4):
+        # with the order and clique already built, as min_consistent shares
+        # them, the clique bound (5 nodes > 4) would answer at once
+        s = zhang_sample(k4)
+        pta = _Pta(s)
+        pta.search_plan(None)
+        out = exists_consistent(SolveRequest(s, 4, time_budget=1e-9), _pta=pta)
+        assert out.status is SolveStatus.TIMEOUT
+        assert exists_consistent(SolveRequest(s, 4), _pta=pta).status is SolveStatus.UNSAT
+
+    def test_deadline_interrupts_the_clique_pass(self, k4):
+        # a 3889-node path whose clique pass alone takes about a second; the
+        # clique bound would answer UNSAT at m=4 once the pass were done
+        params = default_params(k4, 4)
+        _word, s, _run = single_string(k4, params, make_encoding(k4, params))
+        start = time.monotonic()
+        out = exists_consistent(SolveRequest(s, 4, time_budget=0.05))
+        assert time.monotonic() - start < 0.5
+        assert out.status is SolveStatus.TIMEOUT
+        assert out.states_explored == 0
 
     def test_monotone_in_m(self):
         rng = random.Random(2)
@@ -95,6 +130,29 @@ class TestMinConsistent:
     def test_bound_exhausted(self, triangle):
         with pytest.raises(BoundExceededError):
             min_consistent(zhang_sample(triangle), 3)
+
+    def test_one_prefix_tree_serves_every_m(self, demo5, monkeypatch):
+        # every m goes through the module-level exists_consistent (which the
+        # benchmark's tracer wraps), all with the same prefix tree
+        calls = []
+        decide = solver.exists_consistent
+
+        def spy(req, *, _pta=None):
+            calls.append((req.max_states, _pta))
+            return decide(req, _pta=_pta)
+
+        monkeypatch.setattr(solver, "exists_consistent", spy)
+        assert min_consistent(zhang_sample(demo5), 6)[0] == 4
+        assert [m for m, _ in calls] == [1, 2, 3, 4]
+        assert len({id(pta) for _, pta in calls}) == 1 and calls[0][1] is not None
+
+
+def test_rpni_never_builds_the_search_plan(demo5, monkeypatch):
+    def refuse(self, deadline):
+        raise AssertionError("rpni asked for the exact search's order and clique")
+
+    monkeypatch.setattr(_Pta, "search_plan", refuse)
+    assert rpni(zhang_sample(demo5)).num_states >= 4
 
 
 class TestBruteForce:
@@ -195,8 +253,6 @@ class TestAcyclicMode:
 def test_zhang_equivalence_on_small_graphs():
     # exact certification at desk scale: minimum consistent size is one more
     # than the chromatic number
-    from dfalab import chromatic_number
-
     for g in [Graph.complete(3), Graph.path(4), Graph.cycle(5), Graph.edgeless(3)]:
         k_star = chromatic_number(g)[0]
         assert min_consistent(zhang_sample(g), k_star + 2)[0] == k_star + 1
@@ -217,20 +273,21 @@ def test_deep_prefix_tree_does_not_recurse():
 
 
 # states_explored and the witness of the exact search, pinned to the values
-# the search gave before the prefix-tree conflict check was added: the check
-# only skips folds that must fail, so neither may change
+# of the conflict-degree node order with clique-seeded classes: an m below
+# the clique size is decided with 0 steps, and any change to the order, the
+# clique or the branching shows up here
 ZHANG_PINS = [
-    ("triangle", Graph.complete(3), [2, 5, 9, 19],
+    ("triangle", Graph.complete(3), [0, 0, 0, 9],
      ((1, 2, 3, 0, 0, 0), (1, 1, 1, 0, 0, 1), (2, 2, 2, 1, 2, 0), (3, 3, 3, 3, 1, 1))),
-    ("p4", Graph.path(4), [2, 5, 20],
-     ((1, 2, 1, 2, 0, 0, 0), (1, 1, 1, 1, 0, 1, 0), (2, 2, 2, 2, 1, 0, 1))),
-    ("c5", Graph.cycle(5), [2, 5, 15, 30],
+    ("p4", Graph.path(4), [0, 0, 14],
+     ((1, 2, 1, 2, 0, 0, 0), (1, 1, 1, 1, 0, 2, 0), (2, 2, 2, 2, 2, 0, 2))),
+    ("c5", Graph.cycle(5), [0, 0, 9, 24],
      ((1, 2, 1, 2, 3, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 0, 1),
       (2, 2, 2, 2, 2, 1, 2, 0, 1, 0), (3, 3, 3, 3, 3, 3, 1, 3, 3, 1))),
-    ("demo5", Graph(5, frozenset(DEMO5_EDGES)), [2, 5, 9, 32],
-     ((1, 2, 3, 1, 1, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 1, 1, 1),
-      (2, 2, 2, 2, 2, 1, 2, 0, 0, 2, 2), (3, 3, 3, 3, 3, 3, 1, 1, 3, 0, 0))),
-    ("k4", Graph.complete(4), [2, 5, 9, 14, 33],
+    ("demo5", Graph(5, frozenset(DEMO5_EDGES)), [0, 0, 0, 25],
+     ((1, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 3, 3, 1),
+      (2, 2, 2, 2, 2, 3, 2, 0, 0, 2, 3), (3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0))),
+    ("k4", Graph.complete(4), [0, 0, 0, 0, 18],
      ((1, 2, 3, 4, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 0, 0, 0, 1, 1, 1),
       (2, 2, 2, 2, 1, 2, 2, 0, 0, 2), (3, 3, 3, 3, 3, 1, 3, 1, 3, 0),
       (4, 4, 4, 4, 4, 4, 1, 4, 1, 1))),
@@ -251,9 +308,9 @@ def test_exact_search_steps_and_witness_are_pinned(name, g, explored, rows):
 
 
 @pytest.mark.parametrize("n, seed, unsat_steps, sat_steps, coloring", [
-    (9, 1, 252, 376, (1, 2, 3, 3, 2, 3, 4, 1, 5)),
-    (10, 3, 194, 91, (1, 2, 1, 2, 1, 1, 3, 4, 3, 2)),
-])
+    (9, 1, 10, 97, (1, 2, 3, 3, 2, 3, 4, 1, 5)),
+    (10, 3, 0, 77, (1, 2, 1, 3, 1, 2, 4, 2, 1, 3)),
+], ids=["gnp9-1", "gnp10-3"])
 def test_exact_search_steps_are_pinned_on_random_graphs(n, seed, unsat_steps, sat_steps, coloring):
     g = Graph.gnp(n, 0.5, seed)
     chi = max(coloring)
@@ -357,3 +414,71 @@ def test_rpni_matches_fold_only_greedy_on_binary_samples(g, K):
     params = default_params(g, K)
     s = binary_sample(g, params, make_encoding(g, params))
     assert rpni(s) == _greedy_folds(s).completed()
+
+
+def _depths(pta: _Pta) -> list[int]:
+    depth = [0] * len(pta.labels)
+    for node in pta.bfs:
+        for child in pta.children[node].values():
+            depth[child] = depth[node] + 1
+    return depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_search_order_is_by_level_then_conflict_degree(s):
+    pta = _Pta(s)
+    order, _clique = pta.search_plan(None)
+    assert sorted(order) == list(range(len(pta.labels)))
+    at = {node: i for i, node in enumerate(order)}
+    assert all(at[node] < at[child] for node in order for child in pta.children[node].values())
+    depth = _depths(pta)
+    bfs_at = {node: i for i, node in enumerate(pta.bfs)}
+
+    def key(u):  # level, then most conflicts inside the level, then BFS position
+        level = [v for v in pta.bfs if depth[v] == depth[u]]
+        return depth[u], -sum(_brute_conflict(pta, u, v) for v in level if v != u), bfs_at[u]
+
+    assert order == sorted(order, key=key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_greedy_clique_is_a_conflict_clique(s):
+    pta = _Pta(s)
+    order, clique = pta.search_plan(None)
+    assert clique and clique[0] == order[0] == 0
+    assert all(_brute_conflict(pta, u, v) for i, u in enumerate(clique) for v in clique[:i])
+    at = {node: i for i, node in enumerate(order)}
+    assert [at[c] for c in clique] == sorted(at[c] for c in clique)
+    for node in set(order) - set(clique):  # greedy: some earlier member refused it
+        assert any(not _brute_conflict(pta, node, c) for c in clique if at[c] < at[node])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_clique_never_exceeds_the_brute_force_minimum(s):
+    try:
+        m_star, _ = brute_force_min(s)
+    except BoundExceededError:
+        m_star = None
+    _order, clique = _Pta(s).search_plan(None)
+    if m_star is not None:
+        assert len(clique) <= m_star
+    for m in range(1, 4):
+        out = exists_consistent(SolveRequest(s, m))
+        assert (out.status is SolveStatus.SAT) == (m_star is not None and m >= m_star)
+        if m < len(clique):
+            assert out.states_explored == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 12), st.integers(0, 2**16))
+def test_zhang_minimum_is_chi_plus_one_on_random_graphs(n, seed):
+    g = Graph.gnp(n, 0.5, seed)
+    assert min_consistent(zhang_sample(g), n + 1)[0] == chromatic_number(g)[0] + 1
+
+
+@pytest.mark.parametrize("name, g", suite_graphs(), ids=[name for name, _ in suite_graphs()])
+def test_zhang_minimum_is_chi_plus_one_on_suite_graphs(name, g):
+    assert min_consistent(zhang_sample(g), g.num_vertices + 1)[0] == chromatic_number(g)[0] + 1
