@@ -199,6 +199,39 @@ class DfaSample:
         sample._set(alphabet, children, labels)
         return sample
 
+    @classmethod
+    def _from_tree(cls, alphabet: Alphabet, children: list[dict[int, int]],
+                   labels: list[int]) -> "DfaSample":
+        """The sample whose labeled prefix tree is `children`/`labels`, rooted
+        at node 0 but numbered in any order, every leaf labeled: renumbered
+        into preorder with children maps in symbol order.  ValueError, as
+        from the constructor, names the least string with a symbol outside
+        the alphabet."""
+        size = alphabet.size
+        tree_children: list[dict[int, int]] = []
+        tree_labels: list[int] = []
+        in_range = True
+        stack = [(0, -1, 0)]  # (node, new number of its parent, its symbol)
+        while stack:
+            old, parent, a = stack.pop()
+            node = len(tree_labels)
+            if parent >= 0:
+                tree_children[parent][a] = node
+            tree_children.append({})
+            tree_labels.append(labels[old])
+            kids = children[old]
+            if kids:
+                symbols = sorted(kids)
+                in_range = in_range and 0 <= symbols[0] and symbols[-1] < size
+                stack.extend([(kids[b], node, b) for b in reversed(symbols)])
+        sample = cls.__new__(cls)
+        sample._set(alphabet, tree_children, tree_labels)
+        if not in_range:
+            word = next(tuple(w) for w, nodes in sample.preorder()
+                        if tree_labels[nodes[-1]] and not all(0 <= a < size for a in w))
+            raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
+        return sample
+
     @property
     def positives(self) -> SampleWords:
         return SampleWords(self, (1,))

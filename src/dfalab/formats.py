@@ -3,6 +3,12 @@ DOT rendering, and the reduction metadata sidecar.
 
 All emitters are byte-stable: identical inputs produce identical bytes
 (sorted states, symbols, and JSON keys).
+
+The Abbadingo reader builds the labeled prefix tree as it reads, so a
+prefix-closed file, quadratic in the length of its longest string, is
+read in time linear in its text; lines may come in any order, repeat, and
+be spaced freely.  Parse errors name the file's own line numbers, blank
+lines counted.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from .automata import (
     MealyMachine,
     MooreMachine,
     PartialDfa,
-    Word,
+    SampleError,
     output_str,
 )
 from .graphs import Graph, emit_dimacs
@@ -163,36 +169,86 @@ def sample_to_abbadingo(sample: DfaSample) -> str:
 
 
 def sample_from_abbadingo(text: str) -> DfaSample:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    """Read a sample straight into its labeled prefix tree.
+
+    A line whose symbol text (all after `<label> <length> `) is an earlier
+    line's symbol text, a space and one symbol takes one dict lookup and one
+    child insert, so a prefix-closed file is read in time linear in its
+    text.  Any other line walks the tree from the root by its tokens.
+    """
+    lines = text.splitlines()
+    numbered = [no for no, line in enumerate(lines, start=1) if line.strip()]
+    if not numbered:
         raise FormatError("empty sample file")
-    header = lines[0].split()
+    header = lines[numbered[0] - 1].split()
     if len(header) != 2:
-        raise FormatError(f"line 1: header must be '<num_strings> <alphabet_size>'")
+        raise FormatError(f"line {numbered[0]}: header must be '<num_strings> <alphabet_size>'")
     try:
         count, size = int(header[0]), int(header[1])
     except ValueError:
-        raise FormatError("line 1: header must contain two integers") from None
-    if len(lines) - 1 != count:
-        raise FormatError(f"header promises {count} strings, file has {len(lines) - 1}")
-    pos: set[Word] = set()
-    neg: set[Word] = set()
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if len(fields) < 2:
-            raise FormatError(f"line {line_no}: need '<label> <length> <symbols...>'")
-        try:
-            label, length = int(fields[0]), int(fields[1])
-            word = tuple(int(x) for x in fields[2:])
-        except ValueError:
-            raise FormatError(f"line {line_no}: non-integer field") from None
-        if label not in (0, 1):
-            raise FormatError(f"line {line_no}: label must be 0 or 1")
-        if len(word) != length:
-            raise FormatError(f"line {line_no}: declared length {length}, got {len(word)} symbols")
-        (pos if label else neg).add(word)
+        raise FormatError(f"line {numbered[0]}: header must contain two integers") from None
+    if len(numbered) - 1 != count:
+        raise FormatError(f"header promises {count} strings, file has {len(numbered) - 1}")
+    children: list[dict[int, int]] = [{}]
+    labels = [0]
+    depths = [0]
+    node_of = {"": 0}  # symbol text of each line read -> its node
+    symbol_of: dict[str, int] = {}  # last token of each line walked -> its symbol
+    signs = {"1": 1, "0": -1}
+    both: set[int] = set()  # nodes labeled both ways
+
+    def grow(node: int, a: int) -> int:
+        child = children[node][a] = len(labels)
+        children.append({})
+        labels.append(0)
+        depths.append(depths[node] + 1)
+        return child
+
+    for line_no in numbered[1:]:
+        line = lines[line_no - 1]
+        node = None
+        split = line.split(" ", 2)
+        if len(split) == 3:
+            prefix, _, last = split[2].rpartition(" ")
+            parent = node_of.get(prefix)
+            a = symbol_of.get(last)
+            sign = signs.get(split[0])
+            if (parent is not None and a is not None and sign is not None
+                    and split[1] == str(depths[parent] + 1)):
+                node = children[parent].get(a)
+                if node is None:
+                    node = grow(parent, a)
+                node_of[split[2]] = node
+        if node is None:
+            fields = line.split()
+            if len(fields) < 2:
+                raise FormatError(f"line {line_no}: need '<label> <length> <symbols...>'")
+            try:
+                label, length = int(fields[0]), int(fields[1])
+                word = [int(x) for x in fields[2:]]
+            except ValueError:
+                raise FormatError(f"line {line_no}: non-integer field") from None
+            if label not in (0, 1):
+                raise FormatError(f"line {line_no}: label must be 0 or 1")
+            if len(word) != length:
+                raise FormatError(f"line {line_no}: declared length {length}, got {len(word)} symbols")
+            node = 0
+            for a in word:
+                child = children[node].get(a)
+                node = grow(node, a) if child is None else child
+            if word:
+                symbol_of[fields[-1]] = word[-1]
+            if len(split) == 3 and split[:2] == fields[:2]:  # then split[2].split() == fields[2:]
+                node_of[split[2]] = node
+            sign = 1 if label else -1
+        if labels[node] == -sign:
+            both.add(node)
+        labels[node] = sign
     try:
-        return DfaSample(Alphabet(size) if size != 2 else Alphabet.binary(), frozenset(pos), frozenset(neg))
+        alphabet = Alphabet(size) if size != 2 else Alphabet.binary()
+        if both:
+            raise SampleError(f"{len(both)} strings labeled both positive and negative")
+        return DfaSample._from_tree(alphabet, children, labels)
     except ValueError as e:
         raise FormatError(str(e)) from None
 
@@ -223,20 +279,18 @@ def machine_sample_from_text(text: str, alphabet: Alphabet | None = None) -> Mac
     names = {alphabet.name(i): i for i in range(alphabet.size)}
     if any(len(n) != 1 for n in names):
         raise FormatError("run files need single-character symbol names")
-    lines = text.splitlines()
-    lines = [ln for ln in lines if ln.strip() != ""]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) % 2 != 0:
         raise FormatError("run file must hold pairs of lines (input, output)")
     runs = set()
-    for k in range(0, len(lines), 2):
-        word_line, out_line = lines[k], lines[k + 1]
+    for (word_no, word_line), (out_no, out_line) in zip(lines[::2], lines[1::2]):
         try:
             word = tuple(names[ch] for ch in word_line)
         except KeyError as e:
-            raise FormatError(f"line {k + 1}: unknown input symbol {e.args[0]!r}") from None
-        out = tuple(_parse_out_symbol(ch, f"line {k + 2}") for ch in out_line)
+            raise FormatError(f"line {word_no}: unknown input symbol {e.args[0]!r}") from None
+        out = tuple(_parse_out_symbol(ch, f"line {out_no}") for ch in out_line)
         if len(word) != len(out):
-            raise FormatError(f"lines {k + 1}-{k + 2}: input and output lengths differ")
+            raise FormatError(f"lines {word_no}-{out_no}: input and output lengths differ")
         runs.add((word, out))
     return MachineSample(alphabet, frozenset(runs))
 

@@ -1,6 +1,7 @@
 """End-to-end command-line pipelines and exit-code contracts."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -257,6 +258,42 @@ class TestConvertAndDot:
         restored = sample_from_abbadingo(back.read_text())
         assert restored.positives == original.positives
         assert restored.negatives == original.negatives - {()}
+
+    # Outputs of the tuple-per-line Abbadingo parser, which read every file
+    # into sets of word tuples before building the prefix tree: (length and
+    # sha256 of `runs.txt`, sha256 of the minimal witness, `solve` stdouts).
+    PINNED = {
+        "k3": (Graph.complete(3), 3, 1562,
+               "0f14e9e9b28c4f1cd703bf1352f0c04f6aeec690cd05dc9e5a2152e48e13a956",
+               "e47bf21b82f6b6101f96a5161771fa1bf3c22d4919546fa3ab78ad83abc24246",
+               "m* = 4 (4 states)\n", "unsat at m = 3 (0 search steps)\n"),
+        "p4": (Graph.path(4), 2, 1454,
+               "4872a86fb6a778e5bdc66dfdfc4c6a08a255efaefba90e9124d7afc06c68d637",
+               "347aec590ea29ca479ee8ac586f969d802eff8406e4a71a924761803a04c4118",
+               "m* = 3 (3 states)\n", "unsat at m = 2 (0 search steps)\n"),
+        "c4": (Graph.cycle(4), 2, 2194,
+               "7369337dc307df840dc3193ccc060103d6e93fed7291df903c0041b208929161",
+               "5537338fa0844a364324cf7523ef2f26d940719764fd98aec50c6e127e100c0a",
+               "m* = 3 (3 states)\n", "unsat at m = 2 (0 search steps)\n"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_sample_file_outputs_are_pinned(self, name, tmp_path, capsys):
+        g, chi, runs_len, runs_sha, witness_sha, minimize_out, unsat_out = self.PINNED[name]
+        col = tmp_path / "g.col"
+        col.write_text(emit_dimacs(g))
+        s, z, runs, w = (str(tmp_path / f) for f in ("s.abb", "z.abb", "runs.txt", "zw.json"))
+        assert main(["reduce", "single", "--graph", str(col), "--K", str(chi), "--out", s]) == 0
+        assert main(["reduce", "zhang", "--graph", str(col), "--out", z]) == 0
+        assert main(["convert", "--to", "machine-sample", s, runs]) == 0
+        text = (tmp_path / "runs.txt").read_bytes()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == (runs_len, runs_sha)
+        capsys.readouterr()
+        assert main(["solve", z, "--max-m", str(g.num_vertices + 1), "--minimize", "--out", w]) == 0
+        assert capsys.readouterr().out == minimize_out
+        assert hashlib.sha256((tmp_path / "zw.json").read_bytes()).hexdigest() == witness_sha
+        assert main(["solve", z, "--max-m", str(chi)]) == 1
+        assert capsys.readouterr().out == unsat_out
 
     def test_machine_document_is_usage_error(self, k3_col, tmp_path, capsys):
         w, moore = tmp_path / "w.json", tmp_path / "m.json"

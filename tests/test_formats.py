@@ -1,16 +1,23 @@
 """Serialization round trips and byte stability for every file format."""
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfalab import (
     Alphabet,
     Dfa,
     DfaSample,
+    Graph,
     MachineSample,
     PartialDfa,
     default_params,
     make_encoding,
+    single_string,
     zhang_sample,
 )
 from dfalab.formats import (
@@ -100,6 +107,183 @@ class TestAbbadingo:
             sample_from_abbadingo("1 2\n7 1 0\n")
 
 
+# ---------------------------------------------------------------------------
+# The parser before it read files straight into the prefix tree: one word
+# tuple per line, then the DfaSample constructor.  Errors name file lines.
+
+
+def ref_sample_from_abbadingo(text: str) -> DfaSample:
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines:
+        raise FormatError("empty sample file")
+    header_no, header_line = lines[0]
+    header = header_line.split()
+    if len(header) != 2:
+        raise FormatError(f"line {header_no}: header must be '<num_strings> <alphabet_size>'")
+    try:
+        count, size = int(header[0]), int(header[1])
+    except ValueError:
+        raise FormatError(f"line {header_no}: header must contain two integers") from None
+    if len(lines) - 1 != count:
+        raise FormatError(f"header promises {count} strings, file has {len(lines) - 1}")
+    pos: set = set()
+    neg: set = set()
+    for line_no, line in lines[1:]:
+        fields = line.split()
+        if len(fields) < 2:
+            raise FormatError(f"line {line_no}: need '<label> <length> <symbols...>'")
+        try:
+            label, length = int(fields[0]), int(fields[1])
+            word = tuple(int(x) for x in fields[2:])
+        except ValueError:
+            raise FormatError(f"line {line_no}: non-integer field") from None
+        if label not in (0, 1):
+            raise FormatError(f"line {line_no}: label must be 0 or 1")
+        if len(word) != length:
+            raise FormatError(f"line {line_no}: declared length {length}, got {len(word)} symbols")
+        (pos if label else neg).add(word)
+    try:
+        return DfaSample(Alphabet(size) if size != 2 else Alphabet.binary(), frozenset(pos), frozenset(neg))
+    except ValueError as e:
+        raise FormatError(str(e)) from None
+
+
+def tree(sample: DfaSample):
+    """Everything a sample holds, children maps in their stored order."""
+    return sample.alphabet, [list(c.items()) for c in sample.children], sample.labels
+
+
+def outcome(parse, text: str):
+    try:
+        return tree(parse(text))
+    except FormatError as e:
+        return "FormatError", str(e)
+
+
+@st.composite
+def samples(draw):
+    """Samples over 1-3 symbols, prefix-closed or not."""
+    k = draw(st.integers(1, 3))
+    words = draw(st.sets(st.lists(st.integers(0, k - 1), max_size=7).map(tuple), max_size=14))
+    if draw(st.booleans()):
+        words = {w[:i] for w in words for i in range(len(w) + 1)}
+    signs = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
+    pos = {w for w, plus in zip(sorted(words), signs) if plus}
+    return DfaSample(Alphabet(k) if k != 2 else Alphabet.binary(), pos, words - pos)
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0"])
+
+
+@st.composite
+def mangled(draw, text: str) -> str:
+    """`text` with its strings shuffled and some repeated, blank lines put
+    in, tokens spaced oddly and written with leading zeros or a '+'."""
+    header, *body = text.splitlines()
+    if body:
+        body += [body[i] for i in draw(st.lists(st.integers(0, len(body) - 1), max_size=4))]
+    body = draw(st.permutations(body))
+    out = [f"{len(body)} {header.split()[1]}"]
+    for line in body:
+        out.extend(draw(st.lists(st.sampled_from(["", " ", "\t "]), max_size=1)))
+        tokens = line.split()
+        if draw(st.booleans()):
+            tokens = [draw(st.sampled_from([t, "0" + t, "+" + t])) for t in tokens]
+        if draw(st.booleans()):
+            line = draw(SPACES).join(tokens)
+            line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " "]))
+        out.append(line)
+    return "\n".join(out) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples(), st.data())
+def test_parser_matches_the_reference(sample, data):
+    text = sample_to_abbadingo(sample)
+    assert tree(sample_from_abbadingo(text)) == tree(ref_sample_from_abbadingo(text)) == tree(sample)
+    text = data.draw(mangled(text))
+    assert tree(sample_from_abbadingo(text)) == tree(ref_sample_from_abbadingo(text)) == tree(sample)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples(), st.data())
+def test_parser_fails_like_the_reference(sample, data):
+    """One token of a (mangled) file replaced, inserted or removed: both
+    parsers return the same sample or raise the same FormatError."""
+    text = sample_to_abbadingo(sample)
+    if data.draw(st.booleans()):
+        text = data.draw(mangled(text))
+    lines = text.splitlines()
+    no = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[no].split(" ")
+    at = data.draw(st.integers(0, len(tokens)))
+    junk = data.draw(st.sampled_from(["x", "-1", "2", "3", "0", "1", "7", "1.0", ""]))
+    edit = data.draw(st.sampled_from(["replace", "insert", "remove"]))
+    if edit == "insert" or at == len(tokens):
+        tokens.insert(at, junk)
+    elif edit == "replace":
+        tokens[at] = junk
+    else:
+        del tokens[at]
+    lines[no] = " ".join(tokens)
+    text = "\n".join(lines)
+    assert outcome(sample_from_abbadingo, text) == outcome(ref_sample_from_abbadingo, text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty sample file"),
+    ("\n \n", "empty sample file"),
+    ("\n1\n1 1 0\n", "line 2: header must be '<num_strings> <alphabet_size>'"),
+    ("1 2 3\n1 1 0\n", "line 1: header must be '<num_strings> <alphabet_size>'"),
+    ("1 two\n1 1 0\n", "line 1: header must contain two integers"),
+    ("\n1 x\n1 1 0\n", "line 2: header must contain two integers"),
+    ("2 2\n1 1 0\n", "header promises 2 strings, file has 1"),
+    ("1 2\n1 1 0\n\n0 1 1\n", "header promises 1 strings, file has 2"),
+    ("1 2\n\n1\n", "line 3: need '<label> <length> <symbols...>'"),
+    ("2 2\n1 1 0\n\n1 x 1\n", "line 4: non-integer field"),
+    ("2 2\n1 1 0\n\n\n1 2 0 a\n", "line 5: non-integer field"),
+    ("1 2\n\n7 1 0\n", "line 3: label must be 0 or 1"),
+    ("2 2\n1 1 0\n-1 1 1\n", "line 3: label must be 0 or 1"),
+    ("1 2\n\n1 3 0 1\n", "line 3: declared length 3, got 2 symbols"),
+    ("2 2\n1 1 0\n1 1 0 1\n", "line 3: declared length 1, got 2 symbols"),
+    # the symbol text after an odd first or second field is no key of its node
+    ("3 2\n1 1 1\n 1 1 0\n1 2 1 0 1\n", "line 4: declared length 2, got 3 symbols"),
+    ("3 2\n0 1 0\n1 2\t0 1\n1 3 1 0\n", "line 4: declared length 3, got 2 symbols"),
+    ("2 2\n1 1 0\n1 2 0 2\n", "string (0, 2) uses symbols outside alphabet of size 2"),
+    ("3 2\n1 2 1 5\n1 1 -1\n0 3 1 5 0\n", "string (-1,) uses symbols outside alphabet of size 2"),
+    ("2 2\n1 2 0 1\n0 2 00 01\n", "1 strings labeled both positive and negative"),
+    ("4 3\n1 0\n0 0\n1 1 2\n0 1 02\n", "2 strings labeled both positive and negative"),
+    ("1 0\n1 1 0\n", "alphabet must have at least one symbol"),
+    # two faults: the parsers report the one the reference checks first
+    ("3 2\n7 1 0\n\n1 x\n", "header promises 3 strings, file has 2"),
+    ("3 2\n1 1 0\n7 1 1\n1 x\n", "line 3: label must be 0 or 1"),
+    ("2 2\n1 3 0 1\n1 1 x\n", "line 2: declared length 3, got 2 symbols"),
+    ("3 2\n1 1 5\n1 1 0\n0 1 0\n", "1 strings labeled both positive and negative"),
+    ("2 0\n1 1 0\n0 1 0\n", "alphabet must have at least one symbol"),
+])
+def test_faulty_files_fail_like_the_reference(text, message):
+    assert outcome(ref_sample_from_abbadingo, text) == ("FormatError", message)
+    assert outcome(sample_from_abbadingo, text) == ("FormatError", message)
+
+
+def test_large_prefix_closed_file_parses_in_linear_memory():
+    """The k4 single-string sample with K=4: 3889 strings of up to 3888
+    symbols, 15 MB of text.  One word tuple per line took 78 MB."""
+    g = Graph.complete(4)
+    params = default_params(g, 4)
+    _word, sample, _run = single_string(g, params, make_encoding(g, params))
+    text = sample_to_abbadingo(sample)
+    tracemalloc.start()
+    try:
+        got = sample_from_abbadingo(text)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 15 * 10**6
+    assert tree(got) == tree(sample)
+    assert peak < 45 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
 class TestRunFiles:
     def test_round_trip(self):
         ms = MachineSample(BIN, frozenset({((0, 1, 1), (True, False, True))}))
@@ -122,6 +306,14 @@ class TestRunFiles:
     def test_length_mismatch(self):
         with pytest.raises(FormatError, match="lengths differ"):
             machine_sample_from_text("00\n+\n")
+
+    def test_errors_name_the_file_line(self):
+        with pytest.raises(FormatError, match="^line 4: unknown input symbol 'x'$"):
+            machine_sample_from_text("01\n+-\n\n0x\n++\n")
+        with pytest.raises(FormatError, match="^line 5: output symbol must be"):
+            machine_sample_from_text("01\n+-\n0\n\n*\n")
+        with pytest.raises(FormatError, match="^lines 3-5: input and output lengths differ$"):
+            machine_sample_from_text("\n\n01\n\n+\n")
 
 
 class TestDot:
