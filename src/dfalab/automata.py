@@ -127,38 +127,20 @@ class DfaSample:
         overlap = pos & neg
         if overlap:
             raise SampleError(f"{len(overlap)} strings labeled both positive and negative")
-        size = alphabet.size
         children: list[dict[int, int]] = [{}]
         labels = [0]
-        # In sorted order each word's nodes after its longest common prefix
-        # with the previous word are new, and come in preorder.
-        path = [0]  # path[d] = node of the current word's length-d prefix
-        prev: Word = ()
-        for word in sorted(pos | neg):
-            keep = min(len(prev), len(word))
-            if prev[:keep] != word[:keep]:
-                lo, hi = 0, keep  # invariant: equal up to lo, different up to hi
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if prev[:mid] == word[:mid]:
-                        lo = mid
-                    else:
-                        hi = mid
-                keep = lo
-            del path[keep + 1:]
-            node = path[-1]
-            for a in word[keep:]:
-                if not 0 <= a < size:
-                    raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
-                child = len(labels)
-                children[node][a] = child
-                children.append({})
-                labels.append(0)
-                path.append(child)
-                node = child
-            labels[node] = 1 if word in pos else -1
-            prev = word
-        self._set(alphabet, children, labels)
+        for words, sign in ((pos, 1), (neg, -1)):
+            for word in words:
+                node = 0
+                for a in word:
+                    child = children[node].get(a)
+                    if child is None:
+                        child = children[node][a] = len(labels)
+                        children.append({})
+                        labels.append(0)
+                    node = child
+                labels[node] = sign
+        self._plant(alphabet, children, labels)
 
     def _set(self, alphabet: Alphabet, children: list[dict[int, int]], labels: list[int]) -> None:
         object.__setattr__(self, "alphabet", alphabet)
@@ -202,11 +184,18 @@ class DfaSample:
     @classmethod
     def _from_tree(cls, alphabet: Alphabet, children: list[dict[int, int]],
                    labels: list[int]) -> "DfaSample":
-        """The sample whose labeled prefix tree is `children`/`labels`, rooted
-        at node 0 but numbered in any order, every leaf labeled: renumbered
-        into preorder with children maps in symbol order.  ValueError, as
-        from the constructor, names the least string with a symbol outside
-        the alphabet."""
+        """The sample whose labeled prefix tree is `children`/`labels`; see `_plant`."""
+        sample = cls.__new__(cls)
+        sample._plant(alphabet, children, labels)
+        return sample
+
+    def _plant(self, alphabet: Alphabet, children: list[dict[int, int]],
+               labels: list[int]) -> None:
+        """Make this the sample whose labeled prefix tree is
+        `children`/`labels`, rooted at node 0 but numbered in any order,
+        every leaf labeled: renumbered into preorder with children maps in
+        symbol order.  ValueError names the least string with a symbol
+        outside the alphabet."""
         size = alphabet.size
         tree_children: list[dict[int, int]] = []
         tree_labels: list[int] = []
@@ -224,13 +213,11 @@ class DfaSample:
                 symbols = sorted(kids)
                 in_range = in_range and 0 <= symbols[0] and symbols[-1] < size
                 stack.extend([(kids[b], node, b) for b in reversed(symbols)])
-        sample = cls.__new__(cls)
-        sample._set(alphabet, tree_children, tree_labels)
+        self._set(alphabet, tree_children, tree_labels)
         if not in_range:
-            word = next(tuple(w) for w, nodes in sample.preorder()
+            word = next(tuple(w) for w, nodes in self.preorder()
                         if tree_labels[nodes[-1]] and not all(0 <= a < size for a in w))
             raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
-        return sample
 
     @property
     def positives(self) -> SampleWords:

@@ -30,6 +30,7 @@ from .formats import (
     machine_sample_from_text,
     machine_sample_to_text,
     metadata_encoding,
+    metadata_from_json,
     metadata_params,
     reduction_metadata,
     sample_from_abbadingo,
@@ -166,10 +167,7 @@ def cmd_reduce(args) -> int:
         enc = make_encoding(g, params)
         if args.kind == "binary":
             sample = binary_sample(g, params, enc)
-            meta = reduction_metadata(
-                "binary", g, params, enc,
-                include_k=args.K is not None, include_n=args.K is not None,
-            )
+            meta = reduction_metadata("binary", g, params, enc, include_kn=args.K is not None)
         else:
             word, sample, run = single_string(g, params, enc)
             meta = reduction_metadata("single", g, params, enc)
@@ -254,11 +252,10 @@ def cmd_extract(args) -> int:
     else:
         if not args.meta:
             raise ValueError(f"extract {args.kind} needs --meta (written by reduce)")
-        meta = json.loads(Path(args.meta).read_text())
+        meta = metadata_from_json(Path(args.meta).read_text())
         if meta.get("graph_sha256") != graph_sha256(g):
             raise ValueError("metadata was generated from a different graph")
-        need_full = args.kind == "single"
-        params = metadata_params(meta, need_k=need_full, need_n=need_full)
+        params = metadata_params(meta, need_kn=args.kind == "single")
         enc = metadata_encoding(meta)
         if args.kind == "binary":
             coloring, _analysis = coloring_from_binary_dfa(machine, g, params, enc)

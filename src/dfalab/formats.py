@@ -90,15 +90,19 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
         num_states = int(d["states"])
         names = tuple(str(n) for n in d["alphabet"])
         initial = int(d["initial"])
-        edges = d["transitions"]
+        edges = [[int(x) for x in entry] for entry in d["transitions"]]
+        accepting = frozenset(int(q) for q in d.get("accepting", []))
+        out = list(d.get("output", []))
     except KeyError as e:
         raise FormatError(f"automaton document is missing field {e.args[0]!r}") from None
+    except TypeError:
+        raise FormatError("automaton document has a field of the wrong type") from None
     if kind not in ("dfa", "partial-dfa", "moore", "mealy"):
         raise FormatError(f"unknown automaton type {kind!r}")
     alphabet = Alphabet(len(names), names)
     rows: list[list[int | None]] = [[None] * alphabet.size for _ in range(num_states)]
     for entry in edges:
-        q, a, t = (int(x) for x in entry)
+        q, a, t = entry
         if not (0 <= q < num_states and 0 <= a < alphabet.size and 0 <= t < num_states):
             raise FormatError(f"transition {entry} out of range")
         if rows[q][a] is not None and rows[q][a] != t:
@@ -107,24 +111,21 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     table = tuple(tuple(r) for r in rows)
 
     if kind == "partial-dfa":
-        return PartialDfa(num_states, alphabet, initial, table, frozenset(d.get("accepting", [])))
+        return PartialDfa(num_states, alphabet, initial, table, accepting)
     missing = [(q, a) for q, row in enumerate(rows) for a, t in enumerate(row) if t is None]
     if missing:
         raise FormatError(f"{kind} document is missing transitions, e.g. {missing[0]}")
     if kind == "dfa":
-        return Dfa(num_states, alphabet, initial, table, frozenset(d.get("accepting", [])))
+        return Dfa(num_states, alphabet, initial, table, accepting)
     if kind == "moore":
-        out = d.get("output", [])
         if len(out) != num_states:
             raise FormatError("moore document needs one output per state")
         output = tuple(_parse_out_symbol(s, "moore output") for s in out)
         return MooreMachine(num_states, alphabet, initial, table, output)
-    out = d.get("output", [])  # mealy, the one type left
-    if len(out) != len(edges):
+    if len(out) != len(edges):  # mealy, the one type left
         raise FormatError("mealy document needs one output per transition")
     by_edge = {}
-    for entry, s in zip(edges, out):
-        q, a, _t = (int(x) for x in entry)
+    for (q, a, _t), s in zip(edges, out):
         by_edge[(q, a)] = _parse_out_symbol(s, "mealy output")
     output = tuple(
         tuple(by_edge[(q, a)] for a in range(alphabet.size)) for q in range(num_states)
@@ -140,14 +141,18 @@ def automaton_to_json(a: Automaton) -> str:
     return dumps_json(automaton_to_dict(a))
 
 
-def automaton_from_json(text: str) -> Automaton:
+def _json_object(text: str, what: str) -> dict[str, Any]:
     try:
         d = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid JSON: {e}") from None
     if not isinstance(d, dict):
-        raise FormatError("automaton document must be a JSON object")
-    return automaton_from_dict(d)
+        raise FormatError(f"{what} document must be a JSON object")
+    return d
+
+
+def automaton_from_json(text: str) -> Automaton:
+    return automaton_from_dict(_json_object(text, "automaton"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +344,13 @@ def reduction_metadata(
     g: Graph,
     params: ReductionParams | None = None,
     enc: Encoding | None = None,
-    include_k: bool = True,
-    include_n: bool = True,
+    include_kn: bool = True,
 ) -> dict[str, Any]:
     """Self-describing record of one generated instance.
 
     Everything a later extraction needs (parameters and codes) plus a hash
-    pinning the graph the instance came from.
+    pinning the graph the instance came from.  K and N are recorded
+    together or not at all (`include_kn`), since N is derived from K.
     """
     d: dict[str, Any] = {
         "kind": kind,
@@ -364,9 +369,8 @@ def reduction_metadata(
         d["L"] = params.L
         d["head_len"] = params.head_len
         d["tail_len"] = params.tail_len
-        if include_k:
+        if include_kn:
             d["K"] = params.K
-        if include_n:
             d["N"] = params.N
     if enc is not None:
         d["vertex_codes"] = enc.vertex_strs()
@@ -374,24 +378,26 @@ def reduction_metadata(
     return d
 
 
-def metadata_params(meta: dict[str, Any], need_k: bool, need_n: bool) -> ReductionParams:
-    for field in ("L", "head_len", "tail_len") + (("K",) if need_k else ()) + (("N",) if need_n else ()):
+def metadata_from_json(text: str) -> dict[str, Any]:
+    return _json_object(text, "metadata")
+
+
+def metadata_params(meta: dict[str, Any], need_kn: bool) -> ReductionParams:
+    for field in ("L", "head_len", "tail_len") + (("K", "N") if need_kn else ()):
         if meta.get(field) is None:
             raise FormatError(f"metadata is missing {field!r}")
-    return ReductionParams(
-        K=int(meta["K"]) if meta.get("K") is not None else 1,
-        L=int(meta["L"]),
-        N=int(meta["N"]) if meta.get("N") is not None else (int(meta["L"]) * 2 + 1),
-        head_len=int(meta["head_len"]),
-        tail_len=int(meta["tail_len"]),
-    )
+    try:
+        given = {f: int(meta[f]) for f in ("K", "L", "N", "head_len", "tail_len") if meta.get(f) is not None}
+    except TypeError:
+        raise FormatError("metadata lengths must be integers") from None
+    return ReductionParams(**{"K": 1, "N": given["L"] * 2 + 1, **given})
 
 
 def metadata_encoding(meta: dict[str, Any]) -> Encoding:
     if meta.get("vertex_codes") is None or meta.get("edge_codes") is None:
         raise FormatError("metadata is missing the vertex/edge codes")
-    to_bits = lambda s: tuple(int(c) for c in s)
-    return Encoding(
-        tuple(to_bits(s) for s in meta["vertex_codes"]),
-        tuple(to_bits(s) for s in meta["edge_codes"]),
-    )
+    try:
+        codes = [tuple(tuple(int(c) for c in s) for s in meta[f]) for f in ("vertex_codes", "edge_codes")]
+    except TypeError:
+        raise FormatError("metadata codes must be lists of bit strings") from None
+    return Encoding(*codes)

@@ -18,13 +18,15 @@ sequential and therefore deterministic, and it keeps its choices on an
 explicit stack, so tree depth is not bounded by the interpreter's
 recursion limit.
 
-Both the exact search and RPNI ask the prefix tree first whether the two
-nodes they are about to fold conflict.  A conflicting pair cannot share a
-class in any consistent quotient, so its fold would fail; it is skipped
-(and still counted in `states_explored`).  The answers come from a memo of
-one byte per unordered node pair, n(n-1)/2 bytes for an n-node tree,
-filled lazily.  RPNI keeps plain breadth-first order and never builds the
-exact search's order or clique.
+Before each fold the search asks the prefix tree whether the two nodes
+conflict.  A conflicting pair cannot share a class in any consistent
+quotient, so its fold would fail; it is skipped (and still counted in
+`states_explored`).  The answers come from a memo of one byte per
+unordered node pair, n(n-1)/2 bytes for an n-node tree, filled lazily.
+
+RPNI is the same search's first descent: plain breadth-first order, no
+clique and no state bound below the tree size, so it never backtracks and
+never builds the exact search's order or clique.
 """
 from __future__ import annotations
 
@@ -250,9 +252,9 @@ class _MergeEngine:
             else:
                 del self.trans[a][b]
 
-    def quotient_acyclic(self, root_node: int) -> bool:
+    def quotient_acyclic(self) -> bool:
         find, trans = self.find, self.trans
-        return not reaches_cycle(find(root_node), lambda c: (find(t) for t in trans[c].values()))
+        return not reaches_cycle(find(0), lambda c: (find(t) for t in trans[c].values()))
 
     def materialize(self, alphabet) -> PartialDfa:
         roots: list[int] = []
@@ -290,14 +292,18 @@ class _ExactSearch:
         """Depth-first search over merge choices with an explicit stack.
 
         A frame holds one tree node's choices: each class existing when the
-        node was reached, in creation order, then a new class.  Clique nodes
-        are classes from the start and get no frame.  Pairs the prefix tree
-        already knows to conflict are counted but never folded.
+        node was reached, in creation order, then a new class.  Classes are
+        a stack (opened by append, closed by pop on backtrack), so a frame
+        keeps only their count: while it is on top, its classes are
+        `reds[:count]`.  Clique nodes are classes from the start and get no
+        frame.  Pairs the prefix tree already knows to conflict are counted
+        but never folded.
         """
         eng = self.engine
         order = self.order
         conflict = self.pta.conflict
-        frames: list[list] = []  # [order index, node, classes, choices taken, trail mark]
+        reds = eng.reds
+        frames: list[list[int]] = []  # [order index, node, class count, choices taken, trail mark]
         idx = 0
         while True:
             _check_deadline(self.deadline)
@@ -306,36 +312,35 @@ class _ExactSearch:
             if idx == len(order):
                 return True
             node = order[idx]
-            frames.append([idx, node, tuple(eng.reds), 0, len(eng.trail)])
+            frames.append([idx, node, len(reds), 0, len(eng.trail)])
             while frames:
                 frame = frames[-1]
-                idx, node, reds, taken, mark = frame
-                if taken > len(reds):
-                    eng.reds.pop()
+                idx, node, count, taken, mark = frame
+                if taken > count:
+                    reds.pop()
                     eng.red_set.discard(node)
                     frames.pop()
                     continue
                 eng.undo(mark)
-                while taken < len(reds):
-                    red = reds[taken]
-                    taken += 1
-                    self.explored += 1
+                first = taken
+                for taken, red in enumerate(reds[first:count], first + 1):
                     if conflict(red, node):
                         continue
                     if eng.fold(red, node) and (
-                        not self.require_acyclic or eng.quotient_acyclic(0)
+                        not self.require_acyclic or eng.quotient_acyclic()
                     ):
                         break
                     eng.undo(mark)
                 else:
-                    if len(eng.reds) < self.max_states:
+                    if count < self.max_states:
                         taken += 1
-                        self.explored += 1
-                        eng.reds.append(node)
+                        reds.append(node)
                         eng.red_set.add(node)
                     else:
+                        self.explored += taken - first
                         frames.pop()
                         continue
+                self.explored += taken - first  # one step per choice tried
                 frame[3] = taken
                 idx += 1
                 break
@@ -459,34 +464,21 @@ def rpni(sample: DfaSample) -> Dfa:
     """Greedy merge baseline: fold each prefix-tree state (breadth-first)
     into the first earlier class that stays consistent, else promote it.
 
+    This is the exact search's first descent over breadth-first order with
+    no clique and the tree size as state bound: that bound never binds, so
+    the search never backtracks.  Like every fold of the search, a fold
+    the prefix tree's conflict memo (n(n-1)/2 bytes for n tree nodes)
+    shows must fail is skipped, which leaves the result unchanged.
+
     The output is completed to a total DFA; it is always consistent and
     never larger than the prefix tree.
-
-    A fold is not tried when the prefix tree's conflict memo (n(n-1)/2
-    bytes for n tree nodes) shows that some suffix labels the two nodes
-    oppositely: it would fail and be undone, so the result is the same
-    without the fold cascade.
     """
     if not sample.strings():
         raise ValueError("rpni needs a nonempty sample")
     pta = _Pta(sample)
-    eng = _MergeEngine(pta)
-    for node in pta.bfs:
-        if eng.find(node) != node:
-            continue
-        merged = False
-        for red in tuple(eng.reds):
-            if pta.conflict(red, node):
-                continue
-            mark = len(eng.trail)
-            if eng.fold(red, node):
-                merged = True
-                break
-            eng.undo(mark)
-        if not merged:
-            eng.reds.append(node)
-            eng.red_set.add(node)
-    dfa = eng.materialize(sample.alphabet).completed()
+    search = _ExactSearch(pta, pta.bfs, [], len(pta.labels), False, None)
+    search.run()
+    dfa = search.engine.materialize(sample.alphabet).completed()
     if consistency_violations(dfa, sample):
         raise RuntimeError("rpni bug: merged automaton is not consistent with the sample")
     return dfa

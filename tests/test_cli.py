@@ -336,3 +336,37 @@ class TestParsing:
                      "--out", str(tmp_path / "c5.abb")]) == 0
         assert main(["--seed", "3", "reduce", "zhang", "--graph", "gnp6x0.5",
                      "--out", str(tmp_path / "g.abb")]) == 0
+
+
+# documents of the right JSON syntax whose fields have the wrong type: each
+# is a parse error (exit 2), never a traceback
+MALFORMED_DOCUMENTS = [
+    *[(command, "dfa", patch)
+      for command in ("dot", "extract", "moore", "mealy")
+      for patch in ({"states": None}, {"accepting": ["x"]}, {"alphabet": 5}, {"transitions": 5})],
+    ("extract", "meta", [1]),
+    ("extract", "meta", {"vertex_codes": 5}),
+    ("extract", "meta", {"L": [3]}),
+]
+
+
+@pytest.mark.parametrize("command, target, patch", MALFORMED_DOCUMENTS,
+                         ids=[f"{c}-{t}-{''.join(p) if isinstance(p, dict) else 'array'}"
+                              for c, t, p in MALFORMED_DOCUMENTS])
+def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path, capsys):
+    w, meta = tmp_path / "w.json", tmp_path / "b.abb.meta.json"
+    main(["reduce", "binary", "--graph", k3_col, "--K", "3", "--out", str(tmp_path / "b.abb")])
+    main(["witness", "--kind", "binary", "--graph", k3_col, "--K", "3", "--out", str(w)])
+    path = w if target == "dfa" else meta
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps({**doc, **patch} if isinstance(patch, dict) else patch))
+    argv = {
+        "dot": ["dot", str(w), str(tmp_path / "w.dot")],
+        "extract": ["extract", "--kind", "binary", "--graph", k3_col, "--dfa", str(w),
+                    "--meta", str(meta)],
+        "moore": ["convert", "--to", "moore", str(w), str(tmp_path / "m.json")],
+        "mealy": ["convert", "--to", "mealy", str(w), str(tmp_path / "m.json")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")

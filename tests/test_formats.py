@@ -343,7 +343,7 @@ class TestMetadata:
         params = default_params(demo5, 3)
         enc = make_encoding(demo5, params)
         meta = reduction_metadata("single", demo5, params, enc)
-        assert metadata_params(meta, need_k=True, need_n=True) == params
+        assert metadata_params(meta, need_kn=True) == params
         assert metadata_encoding(meta) == enc
         assert meta["graph_sha256"] == graph_sha256(demo5)
 
@@ -351,14 +351,14 @@ class TestMetadata:
         meta = reduction_metadata("zhang", demo5)
         assert meta["L"] is None and meta["vertex_codes"] is None
         with pytest.raises(FormatError, match="missing"):
-            metadata_params(meta, need_k=False, need_n=False)
+            metadata_params(meta, need_kn=False)
 
     def test_binary_without_k(self, demo5):
         params = default_params(demo5, 1)
         enc = make_encoding(demo5, params)
-        meta = reduction_metadata("binary", demo5, params, enc, include_k=False, include_n=False)
+        meta = reduction_metadata("binary", demo5, params, enc, include_kn=False)
         assert meta["K"] is None and meta["N"] is None
-        got = metadata_params(meta, need_k=False, need_n=False)
+        got = metadata_params(meta, need_kn=False)
         assert (got.L, got.head_len, got.tail_len) == (params.L, params.head_len, params.tail_len)
         with pytest.raises(FormatError, match="missing 'K'"):
-            metadata_params(meta, need_k=True, need_n=True)
+            metadata_params(meta, need_kn=True)

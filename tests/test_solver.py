@@ -1,6 +1,7 @@
 """Exact search, brute-force oracle agreement, RPNI baseline, acyclic mode."""
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -34,6 +35,7 @@ from dfalab import (
 )
 
 from dfalab import solver
+from dfalab.formats import automaton_to_json
 from dfalab.solver import _MergeEngine, _Pta
 
 from conftest import DEMO5_EDGES, random_sample
@@ -322,6 +324,31 @@ def test_exact_search_steps_are_pinned_on_random_graphs(n, seed, unsat_steps, sa
     assert sat.witness.transitions[0][:n] == coloring
 
 
+# the binary upper side, m = (chi+1)L - 1: a search that backtracks with
+# hundreds of classes; witnesses pinned by the sha256 of their JSON
+BINARY_UPPER_PINS = [
+    ("triangle", Graph.complete(3), 3, 234, 81,
+     "c15d170676966212f0497536cf5abfd957bda9ea93a59ccfae794f08c9bb86fe"),
+    ("p4", Graph.path(4), 2, 186, 62,
+     "e5e3606e6cb6adbb3a2f5be7bbdc38e67777bbe2ee2111a937f310bc761fb1af"),
+    ("k4", Graph.complete(4), 4, 1283, 219,
+     "098bc94e91d350702b24663cf5c02f4438664b7157c565a76558e13ec82520af"),
+    ("c5", Graph.cycle(5), 3, 7592, 161,
+     "fea9beb3c3e40556bea98c401def6107dbb630c0604eae65c3d9977aff49971c"),
+]
+
+
+@pytest.mark.parametrize("name, g, chi, steps, states, digest", BINARY_UPPER_PINS,
+                         ids=[p[0] for p in BINARY_UPPER_PINS])
+def test_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, states, digest):
+    params = default_params(g, chi)
+    s = binary_sample(g, params, make_encoding(g, params))
+    out = exists_consistent(SolveRequest(s, (chi + 1) * params.L - 1))
+    assert (out.status, out.states_explored) == (SolveStatus.SAT, steps)
+    assert out.witness.num_states == states
+    assert hashlib.sha256(automaton_to_json(out.witness).encode()).hexdigest() == digest
+
+
 @st.composite
 def labeled_words(draw):
     """A small binary sample, prefix-closed or not."""
@@ -403,16 +430,30 @@ def test_rpni_matches_fold_only_greedy_on_random_samples():
             assert rpni(s) == _greedy_folds(s).completed()
 
 
-@pytest.mark.parametrize("g, K", [
-    (Graph(5, frozenset(DEMO5_EDGES)), 3),
-    (Graph.cycle(5), 3),
-    (Graph.complete(4), 4),
-    (Graph.gnp(6, 0.5, 0), 3),
-    (Graph.gnp(6, 0.5, 2), 3),
-], ids=["demo5", "c5", "k4", "gnp6-0", "gnp6-2"])
-def test_rpni_matches_fold_only_greedy_on_binary_samples(g, K):
-    params = default_params(g, K)
-    s = binary_sample(g, params, make_encoding(g, params))
+# binary samples are bushy and shallow; single strings (K = chi) give the
+# deepest first descents; zhang samples are small but many-symboled
+GREEDY_SAMPLES = [
+    ("demo5", "binary", Graph(5, frozenset(DEMO5_EDGES)), 3),
+    ("c5", "binary", Graph.cycle(5), 3),
+    ("k4", "binary", Graph.complete(4), 4),
+    ("gnp6-0", "binary", Graph.gnp(6, 0.5, 0), 3),
+    ("gnp6-2", "binary", Graph.gnp(6, 0.5, 2), 3),
+    ("single-p4", "single", Graph.path(4), 2),
+    ("single-k3", "single", Graph.complete(3), 3),
+    ("single-c4", "single", Graph.cycle(4), 2),
+    *[(f"zhang-{name}", "zhang", g, None) for name, g in suite_graphs(random_graphs=0)],
+]
+
+
+@pytest.mark.parametrize("kind, g, K", [case[1:] for case in GREEDY_SAMPLES],
+                         ids=[case[0] for case in GREEDY_SAMPLES])
+def test_rpni_matches_fold_only_greedy_on_binary_samples(kind, g, K):
+    if kind == "zhang":
+        s = zhang_sample(g)
+    else:
+        params = default_params(g, K)
+        enc = make_encoding(g, params)
+        s = binary_sample(g, params, enc) if kind == "binary" else single_string(g, params, enc)[1]
     assert rpni(s) == _greedy_folds(s).completed()
 
 
