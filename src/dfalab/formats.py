@@ -100,21 +100,23 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     if kind not in ("dfa", "partial-dfa", "moore", "mealy"):
         raise FormatError(f"unknown automaton type {kind!r}")
     alphabet = Alphabet(len(names), names)
-    rows: list[list[int | None]] = [[None] * alphabet.size for _ in range(num_states)]
+    size = alphabet.size
+    given: dict[tuple[int, int], int] = {}
     for entry in edges:
         q, a, t = entry
-        if not (0 <= q < num_states and 0 <= a < alphabet.size and 0 <= t < num_states):
+        if not (0 <= q < num_states and 0 <= a < size and 0 <= t < num_states):
             raise FormatError(f"transition {entry} out of range")
-        if rows[q][a] is not None and rows[q][a] != t:
+        if given.setdefault((q, a), t) != t:
             raise FormatError(f"duplicate transition for state {q}, symbol {a}")
-        rows[q][a] = t
-    table = tuple(tuple(r) for r in rows)
+    # a total table is checked against the transitions listed before it is
+    # allocated, so a large declared state count costs no memory
+    if kind != "partial-dfa" and len(given) < num_states * size:
+        missing = next((q, a) for q in range(num_states) for a in range(size) if (q, a) not in given)
+        raise FormatError(f"{kind} document is missing transitions, e.g. {missing}")
+    table = tuple(tuple(given.get((q, a)) for a in range(size)) for q in range(num_states))
 
     if kind == "partial-dfa":
         return PartialDfa(num_states, alphabet, initial, table, accepting)
-    missing = [(q, a) for q, row in enumerate(rows) for a, t in enumerate(row) if t is None]
-    if missing:
-        raise FormatError(f"{kind} document is missing transitions, e.g. {missing[0]}")
     if kind == "dfa":
         return Dfa(num_states, alphabet, initial, table, accepting)
     if kind == "moore":
@@ -128,7 +130,7 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     for (q, a, _t), s in zip(edges, out):
         by_edge[(q, a)] = _parse_out_symbol(s, "mealy output")
     output = tuple(
-        tuple(by_edge[(q, a)] for a in range(alphabet.size)) for q in range(num_states)
+        tuple(by_edge[(q, a)] for a in range(size)) for q in range(num_states)
     )
     return MealyMachine(num_states, alphabet, initial, table, output)
 

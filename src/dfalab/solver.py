@@ -21,8 +21,10 @@ recursion limit.
 Before each fold the search asks the prefix tree whether the two nodes
 conflict.  A conflicting pair cannot share a class in any consistent
 quotient, so its fold would fail; it is skipped (and still counted in
-`states_explored`).  The answers come from a memo of one byte per
-unordered node pair, n(n-1)/2 bytes for an n-node tree, filled lazily.
+`states_explored`).  The whole relation is computed when the tree is
+wrapped, as one int per node whose bit v says whether that node
+conflicts with node v: n^2 bits for an n-node tree, from one pass up
+from the leaves.
 
 RPNI is the same search's first descent: plain breadth-first order, no
 clique and no state bound below the tree size, so it never backtracks and
@@ -89,7 +91,7 @@ def _check_deadline(deadline: float | None) -> None:
 
 class _Pta:
     """The sample's prefix tree (shared, not copied) with its breadth-first
-    node order, a lazily filled memo of which node pairs conflict, and the
+    node order, its conflict relation as one bitset row per node, and the
     exact search's node order and clique, built on first request."""
 
     def __init__(self, sample: DfaSample):
@@ -98,53 +100,12 @@ class _Pta:
         self.bfs = [0]
         for node in self.bfs:  # grows while it is read: a queue
             self.bfs.extend(self.children[node].values())  # in symbol order
-        n = len(self.labels)
-        self._pairs = bytearray(n * (n - 1) // 2)  # 0 unknown, 1 compatible, 2 conflict
+        self.rows = _conflict_rows(self.children, self.labels)
         self._plan: tuple[list[int], list[int]] | None = None
 
     def conflict(self, u: int, v: int) -> bool:
-        """Whether some suffix w labels u.w and v.w oppositely.
-
-        Walks the common descendants of the two nodes with an explicit
-        stack; on a clash every pair on the current path is recorded as
-        conflicting, and each pair whose walk finishes cleanly as
-        compatible.
-        """
-        if u == v:
-            return False
-        if u > v:
-            u, v = v, u
-        memo = self._pairs
-        key = v * (v - 1) // 2 + u
-        state = memo[key]
-        if state:
-            return state == 2
-        labels, children = self.labels, self.children
-        path: list[int] = []  # memo keys of the pairs being walked
-        stack = [(key, u, v)]  # a negative key closes the pair on top of path
-        while stack:
-            key, x, y = stack.pop()
-            if key < 0:
-                memo[path.pop()] = 1
-                continue
-            state = memo[key]
-            if state == 1:
-                continue
-            if state == 2 or labels[x] * labels[y] < 0:
-                for k in path:
-                    memo[k] = 2
-                memo[key] = 2
-                return True
-            path.append(key)
-            stack.append((-1, 0, 0))
-            below = children[y]
-            for sym, cx in children[x].items():
-                cy = below.get(sym)
-                if cy is not None:
-                    if cx > cy:
-                        cx, cy = cy, cx
-                    stack.append((cy * (cy - 1) // 2 + cx, cx, cy))
-        return False
+        """Whether some suffix w labels u.w and v.w oppositely."""
+        return bool(self.rows[u] >> v & 1)
 
     def search_plan(self, deadline: float | None) -> tuple[list[int], list[int]]:
         """The exact search's node order and a greedy clique over it.
@@ -156,36 +117,62 @@ class _Pta:
         raises _Timeout, keeping nothing, if the deadline passes first.
         """
         if self._plan is None:
-            conflict, labels, children = self.conflict, self.labels, self.children
-            depth = [0] * len(labels)
+            rows, children = self.rows, self.children
+            depth = [0] * len(rows)
             for node in self.bfs:
                 for child in children[node].values():
                     depth[child] = depth[node] + 1
-            degree = [0] * len(labels)
+            degree = [0] * len(rows)
             for _depth, nodes in itertools.groupby(self.bfs, depth.__getitem__):
+                _check_deadline(deadline)
                 level = list(nodes)
-                # a leaf's only suffix is the empty one: it conflicts exactly
-                # with the nodes of opposite label, so count those by label
-                everyone = collections.Counter(labels[u] for u in level)
-                leaves = collections.Counter(labels[u] for u in level if not children[u])
+                members = sum(1 << u for u in level)
                 for u in level:
-                    if labels[u]:
-                        degree[u] = (leaves if children[u] else everyone)[-labels[u]]
-                inner = [u for u in level if children[u]]
-                for i, u in enumerate(inner):
-                    _check_deadline(deadline)
-                    for v in inner[i + 1:]:
-                        if conflict(u, v):
-                            degree[u] += 1
-                            degree[v] += 1
+                    degree[u] = (rows[u] & members).bit_count()
             order = sorted(self.bfs, key=lambda node: (depth[node], -degree[node]))  # ties keep BFS order
             clique: list[int] = []
+            members = 0
             for node in order:
                 _check_deadline(deadline)
-                if all(conflict(node, c) for c in reversed(clique)):  # a late member refuses first
+                if rows[node] & members == members:
                     clique.append(node)
+                    members |= 1 << node
             self._plan = order, clique
         return self._plan
+
+
+def _conflict_rows(children, labels) -> list[int]:
+    """`rows[u]` has bit v set iff some suffix labels u and v oppositely.
+
+    Nodes are numbered in preorder, so every child comes after its parent
+    and one pass from the last node back finds its children's rows done:
+    u and v conflict when their labels clash or, for some symbol a, their
+    a-children conflict.  The nodes whose a-child lies in a set B are
+    OR_d ((B >> d) & mask), over the offsets d of the a-edges v -> v + d,
+    where mask holds the nodes with such an edge.
+    """
+    clash = {0: 0, 1: 0, -1: 0}  # by label: the nodes of the opposite label
+    offsets: dict[int, dict[int, int]] = collections.defaultdict(dict)  # symbol -> offset -> mask
+    for v, (label, kids) in enumerate(zip(labels, children)):
+        if label:
+            clash[-label] |= 1 << v
+        for a, c in kids.items():
+            offsets[a][c - v] = offsets[a].get(c - v, 0) | 1 << v
+    masks = {a: list(by_offset.items()) for a, by_offset in offsets.items()}
+    rows = [0] * len(labels)
+    above: dict[tuple[int, int], int] = {}  # (a, B) -> the nodes whose a-child is in B
+    for u in range(len(labels) - 1, -1, -1):
+        row = clash[labels[u]]
+        for a, c in children[u].items():
+            below = rows[c]
+            got = above.get((a, below))
+            if got is None:
+                got = sum((below >> d) & mask for d, mask in masks[a])  # disjoint masks: a union
+                if len(masks[a]) > 1:  # rows repeat where subtrees do; one shift is no dearer
+                    above[a, below] = got
+            row |= got
+        rows[u] = row
+    return rows
 
 
 class _MergeEngine:
@@ -301,7 +288,7 @@ class _ExactSearch:
         """
         eng = self.engine
         order = self.order
-        conflict = self.pta.conflict
+        rows = self.pta.rows
         reds = eng.reds
         frames: list[list[int]] = []  # [order index, node, class count, choices taken, trail mark]
         idx = 0
@@ -323,8 +310,9 @@ class _ExactSearch:
                     continue
                 eng.undo(mark)
                 first = taken
+                row = rows[node]
                 for taken, red in enumerate(reds[first:count], first + 1):
-                    if conflict(red, node):
+                    if row >> red & 1:
                         continue
                     if eng.fold(red, node) and (
                         not self.require_acyclic or eng.quotient_acyclic()
@@ -357,7 +345,9 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
     prefix tree's conflict graph has more than max_states nodes, or from
     the exhausted merge search.  Running out of time yields a TIMEOUT
     status, never a wrong answer; the deadline is checked before the
-    clique bound and while the clique is built.
+    clique bound, once per level while the order is built and once per
+    node while the clique is built, but not while the conflict rows are
+    computed when the prefix tree is wrapped.
 
     The search ranges over quotients of the sample's prefix tree, so every
     witness realizes every sample string.  In acyclic mode this is part of
@@ -365,7 +355,7 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
     off early is not considered.
 
     `_pta` lets `min_consistent` share one prefix tree, with its conflict
-    memo, order and clique, between the state bounds it decides.
+    rows, order and clique, between the state bounds it decides.
     """
     deadline = time.monotonic() + req.time_budget if req.time_budget is not None else None
     pta = _pta if _pta is not None else _Pta(req.sample)
@@ -399,7 +389,7 @@ def min_consistent(
     """Smallest state count admitting a consistent automaton, found by
     deciding m = 1, 2, ... up to upper_bound with `exists_consistent`.
 
-    One prefix tree serves every m, so its conflict memo, search order and
+    One prefix tree serves every m, so its conflict rows, search order and
     clique are built once; each m below the clique size is UNSAT with no
     search.  Raises BoundExceededError when every m up to the bound is
     UNSAT and SolveTimeoutError when the shared time budget runs out first.
@@ -467,8 +457,8 @@ def rpni(sample: DfaSample) -> Dfa:
     This is the exact search's first descent over breadth-first order with
     no clique and the tree size as state bound: that bound never binds, so
     the search never backtracks.  Like every fold of the search, a fold
-    the prefix tree's conflict memo (n(n-1)/2 bytes for n tree nodes)
-    shows must fail is skipped, which leaves the result unchanged.
+    the prefix tree's conflict rows (n^2 bits for n tree nodes) show must
+    fail is skipped, which leaves the result unchanged.
 
     The output is completed to a total DFA; it is always consistent and
     never larger than the prefix tree.

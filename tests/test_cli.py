@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -370,3 +371,20 @@ def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path,
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_declared_states_beyond_the_listed_transitions_are_rejected_unbuilt(tmp_path, capsys):
+    # 300000 states over one symbol and no transition: a dfa document that
+    # cannot be total, rejected from the transitions it lists before any
+    # row of its table is built
+    w = tmp_path / "w.json"
+    w.write_text('{"type": "dfa", "states": 300000, "alphabet": ["0"], "initial": 0, "transitions": []}')
+    tracemalloc.start()
+    try:
+        code = main(["dot", str(w), str(tmp_path / "w.dot")])
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == "error: dfa document is missing transitions, e.g. (0, 0)\n"
+    assert peak < 2**20

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
-import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -91,16 +92,39 @@ class TestExistsConsistent:
         assert out.status is SolveStatus.TIMEOUT
         assert exists_consistent(SolveRequest(s, 4), _pta=pta).status is SolveStatus.UNSAT
 
-    def test_deadline_interrupts_the_clique_pass(self, k4):
-        # a 3889-node path whose clique pass alone takes about a second; the
-        # clique bound would answer UNSAT at m=4 once the pass were done
+    def test_deadline_interrupts_the_clique_pass(self, k4, monkeypatch):
+        # the k4 single string is a 3889-node path, so the plan checks the
+        # deadline once per one-node level, then once per clique candidate;
+        # a clock that ticks one second per reading runs out at the first
+        # candidate, where the clique bound would answer UNSAT at m=4 once
+        # the pass were done
         params = default_params(k4, 4)
         _word, s, _run = single_string(k4, params, make_encoding(k4, params))
-        start = time.monotonic()
-        out = exists_consistent(SolveRequest(s, 4, time_budget=0.05))
-        assert time.monotonic() - start < 0.5
+        pta = _Pta(s)
+        n = len(pta.labels)
+        ticks = itertools.count()
+        monkeypatch.setattr(solver.time, "monotonic", lambda: float(next(ticks)))
+        out = exists_consistent(SolveRequest(s, 4, time_budget=n + 1.5), _pta=pta)
         assert out.status is SolveStatus.TIMEOUT
         assert out.states_explored == 0
+        assert next(ticks) == n + 3  # the deadline, the check before the plan, n levels, one candidate
+        assert pta._plan is None
+        monkeypatch.undo()
+        out = exists_consistent(SolveRequest(s, 4), _pta=pta)
+        assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 0)
+
+    def test_search_plan_memory_is_bounded(self, k4):
+        # 3889 conflict rows of 3889 bits are about 1.9 MB; a byte per node
+        # pair would be 7.6 MB
+        params = default_params(k4, 4)
+        _word, s, _run = single_string(k4, params, make_encoding(k4, params))
+        tracemalloc.start()
+        try:
+            _Pta(s).search_plan(None)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_monotone_in_m(self):
         rng = random.Random(2)
@@ -350,15 +374,21 @@ def test_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, sta
 
 
 @st.composite
-def labeled_words(draw):
-    """A small binary sample, prefix-closed or not."""
-    words = draw(st.sets(st.lists(st.integers(0, 1), max_size=5).map(tuple), max_size=10))
+def labeled_words(draw, symbols=2, max_len=5):
+    """A small sample, prefix-closed or not: binary by default."""
+    words = draw(st.sets(st.lists(st.integers(0, symbols - 1), max_size=max_len).map(tuple),
+                         max_size=10))
     if draw(st.booleans()):
         words = {w[:i] for w in words for i in range(len(w) + 1)}
     words = sorted(words)
     labels = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
     pos = frozenset(w for w, keep in zip(words, labels) if keep)
-    return sample(pos, frozenset(words) - pos)
+    return sample(pos, frozenset(words) - pos, Alphabet(symbols))
+
+
+# three symbols and longer words: some nodes lack symbol 0, so a symbol's
+# edges go to children at several preorder offsets
+ternary_words = labeled_words(3, 7)
 
 
 def _suffixes(pta: _Pta, node: int):
@@ -382,15 +412,25 @@ def _brute_conflict(pta: _Pta, u: int, v: int) -> bool:
     return False
 
 
-@settings(max_examples=150, deadline=None)
-@given(labeled_words(), st.randoms(use_true_random=False))
-def test_conflict_matches_its_definition(s, rng):
+def _check_conflict_matches_its_definition(s, rng):
     pta = _Pta(s)
     n = len(pta.labels)
     pairs = [(u, v) for u in range(n) for v in range(n)]
-    rng.shuffle(pairs)  # the memo must not depend on the order of queries
+    rng.shuffle(pairs)  # the answers must not depend on the order of queries
     for u, v in pairs:
         assert pta.conflict(u, v) == _brute_conflict(pta, u, v), (u, v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words(), st.randoms(use_true_random=False))
+def test_conflict_matches_its_definition(s, rng):
+    _check_conflict_matches_its_definition(s, rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ternary_words, st.randoms(use_true_random=False))
+def test_conflict_matches_its_definition_on_three_symbols(s, rng):
+    _check_conflict_matches_its_definition(s, rng)
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,9 +505,7 @@ def _depths(pta: _Pta) -> list[int]:
     return depth
 
 
-@settings(max_examples=150, deadline=None)
-@given(labeled_words())
-def test_search_order_is_by_level_then_conflict_degree(s):
+def _check_search_order_is_by_level_then_conflict_degree(s):
     pta = _Pta(s)
     order, _clique = pta.search_plan(None)
     assert sorted(order) == list(range(len(pta.labels)))
@@ -485,7 +523,17 @@ def test_search_order_is_by_level_then_conflict_degree(s):
 
 @settings(max_examples=150, deadline=None)
 @given(labeled_words())
-def test_greedy_clique_is_a_conflict_clique(s):
+def test_search_order_is_by_level_then_conflict_degree(s):
+    _check_search_order_is_by_level_then_conflict_degree(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ternary_words)
+def test_search_order_is_by_level_then_conflict_degree_on_three_symbols(s):
+    _check_search_order_is_by_level_then_conflict_degree(s)
+
+
+def _check_greedy_clique_is_a_conflict_clique(s):
     pta = _Pta(s)
     order, clique = pta.search_plan(None)
     assert clique and clique[0] == order[0] == 0
@@ -494,6 +542,18 @@ def test_greedy_clique_is_a_conflict_clique(s):
     assert [at[c] for c in clique] == sorted(at[c] for c in clique)
     for node in set(order) - set(clique):  # greedy: some earlier member refused it
         assert any(not _brute_conflict(pta, node, c) for c in clique if at[c] < at[node])
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_greedy_clique_is_a_conflict_clique(s):
+    _check_greedy_clique_is_a_conflict_clique(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ternary_words)
+def test_greedy_clique_is_a_conflict_clique_on_three_symbols(s):
+    _check_greedy_clique_is_a_conflict_clique(s)
 
 
 @settings(max_examples=150, deadline=None)
