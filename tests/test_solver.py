@@ -373,6 +373,30 @@ def test_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, sta
     assert hashlib.sha256(automaton_to_json(out.witness).encode()).hexdigest() == digest
 
 
+# the same side in acyclic mode: the search checks the quotient for a cycle
+# after every fold, and the witness is the partial automaton itself
+ACYCLIC_UPPER_PINS = [
+    ("triangle", Graph.complete(3), 3, 568, 83,
+     "2d516101ab4a96424adfe043f52d543ff5d818798f310375d24ef197761dc5e6"),
+    ("p4", Graph.path(4), 2, 327, 65,
+     "79e97d200bfd97c5a6f4a67bd5e7443fcfadeb075f397477634a3aaa44b34dc7"),
+    ("c5", Graph.cycle(5), 3, 8729, 164,
+     "45a118fb1b5b23bf091c45a79d43db1647a7810091b872821b5faf6caad6e0dd"),
+]
+
+
+@pytest.mark.parametrize("name, g, chi, steps, states, digest", ACYCLIC_UPPER_PINS,
+                         ids=[p[0] for p in ACYCLIC_UPPER_PINS])
+def test_acyclic_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, states, digest):
+    params = default_params(g, chi)
+    s = binary_sample(g, params, make_encoding(g, params))
+    out = exists_consistent(SolveRequest(s, (chi + 1) * params.L - 1, require_acyclic=True))
+    assert (out.status, out.states_explored) == (SolveStatus.SAT, steps)
+    assert isinstance(out.witness, PartialDfa) and out.witness.is_acyclic()
+    assert out.witness.num_states == states
+    assert hashlib.sha256(automaton_to_json(out.witness).encode()).hexdigest() == digest
+
+
 @st.composite
 def labeled_words(draw, symbols=2, max_len=5):
     """A small sample, prefix-closed or not: binary by default."""
