@@ -84,18 +84,32 @@ def automaton_to_dict(a: Automaton) -> dict[str, Any]:
     return d
 
 
+def _list_field(value: Any, field: str) -> list:
+    if not isinstance(value, list):
+        raise FormatError(f"automaton field {field!r} must be a list")
+    return value
+
+
+def _transition(entry: Any) -> list[int]:
+    if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
+        raise FormatError(f"transition {entry!r} must be three integers [state, symbol, target]")
+    return entry
+
+
 def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     try:
         kind = d["type"]
         num_states = int(d["states"])
-        names = tuple(str(n) for n in d["alphabet"])
+        names = tuple(str(n) for n in _list_field(d["alphabet"], "alphabet"))
         initial = int(d["initial"])
-        edges = [[int(x) for x in entry] for entry in d["transitions"]]
-        accepting = frozenset(int(q) for q in d.get("accepting", []))
-        out = list(d.get("output", []))
+        edges = [_transition(entry) for entry in _list_field(d["transitions"], "transitions")]
+        accepting = frozenset(int(q) for q in _list_field(d.get("accepting", []), "accepting"))
+        out = _list_field(d.get("output", []), "output")
+    except FormatError:
+        raise
     except KeyError as e:
         raise FormatError(f"automaton document is missing field {e.args[0]!r}") from None
-    except TypeError:
+    except (TypeError, ValueError):
         raise FormatError("automaton document has a field of the wrong type") from None
     if kind not in ("dfa", "partial-dfa", "moore", "mealy"):
         raise FormatError(f"unknown automaton type {kind!r}")
@@ -280,12 +294,9 @@ def machine_sample_to_text(ms: MachineSample) -> str:
     return "\n".join(lines) + "\n"
 
 
-def machine_sample_from_text(text: str, alphabet: Alphabet | None = None) -> MachineSample:
-    if alphabet is None:
-        alphabet = Alphabet.binary()
+def machine_sample_from_text(text: str) -> MachineSample:
+    alphabet = Alphabet.binary()
     names = {alphabet.name(i): i for i in range(alphabet.size)}
-    if any(len(n) != 1 for n in names):
-        raise FormatError("run files need single-character symbol names")
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) % 2 != 0:
         raise FormatError("run file must hold pairs of lines (input, output)")

@@ -18,6 +18,10 @@ sequential and therefore deterministic, and it keeps its choices on an
 explicit stack, so tree depth is not bounded by the interpreter's
 recursion limit.
 
+One class holds the search: the classes as a union-find over tree nodes
+with a label and transitions per class, the committed classes, and an
+undo trail of one record per merge; backtracking pops records to a mark.
+
 Before each fold the search asks the prefix tree whether the two nodes
 conflict.  A conflicting pair cannot share a class in any consistent
 quotient, so its fold would fail; it is skipped (and still counted in
@@ -175,17 +179,26 @@ def _conflict_rows(children, labels) -> list[int]:
     return rows
 
 
-class _MergeEngine:
-    """Union-find over prefix-tree nodes with an undo trail."""
+class _MergeSearch:
+    """The merge search: union-find classes over prefix-tree nodes, the
+    committed classes (`reds`, the clique first) and the undo trail, one
+    (dropped root, kept root, symbols the kept root gained, whether it took
+    the dropped root's label) record per merge."""
 
-    def __init__(self, pta: _Pta):
-        n = len(pta.children)
-        self.rep = list(range(n))
+    def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
+                 require_acyclic: bool, deadline: float | None):
+        self.rows = pta.rows
+        self.rep = list(range(len(pta.children)))
         self.label = list(pta.labels)
         self.trans = [dict(ch) for ch in pta.children]
-        self.reds: list[int] = []
-        self.red_set: set[int] = set()
-        self.trail: list[tuple] = []
+        self.reds = list(clique)  # the first classes, fixed
+        self.red_set = set(clique)
+        self.trail: list[tuple[int, int, list[int], bool]] = []
+        self.order = [node for node in order if node not in self.red_set]
+        self.max_states = max_states
+        self.require_acyclic = require_acyclic
+        self.deadline = deadline
+        self.explored = 0
 
     def find(self, x: int) -> int:
         rep = self.rep
@@ -200,6 +213,7 @@ class _MergeEngine:
         identify two distinct committed classes; the caller must undo to
         its trail mark either way.
         """
+        rep, label, trans, red_set = self.rep, self.label, self.trans, self.red_set
         queue = [(keep, drop)]
         while queue:
             x, y = queue.pop()
@@ -207,37 +221,37 @@ class _MergeEngine:
             y = self.find(y)
             if x == y:
                 continue
-            if y in self.red_set:
-                if x in self.red_set:
+            if y in red_set:
+                if x in red_set:
                     return False
                 x, y = y, x
-            la, lb = self.label[x], self.label[y]
+            la, lb = label[x], label[y]
             if la and lb and la != lb:
                 return False
-            self.trail.append(("rep", y, y))
-            self.rep[y] = x
-            if lb and not la:
-                self.trail.append(("label", x, la))
-                self.label[x] = lb
-            tx = self.trans[x]
-            for sym, target in self.trans[y].items():
+            rep[y] = x
+            relabeled = not la  # then x takes y's label, which may be 0 too
+            if relabeled:
+                label[x] = lb
+            tx = trans[x]
+            added = []
+            for sym, target in trans[y].items():
                 cur = tx.get(sym)
                 if cur is None:
                     tx[sym] = target
-                    self.trail.append(("trans", x, sym))
+                    added.append(sym)
                 else:
                     queue.append((cur, target))
+            self.trail.append((y, x, added, relabeled))
         return True
 
     def undo(self, mark: int) -> None:
         while len(self.trail) > mark:
-            kind, a, b = self.trail.pop()
-            if kind == "rep":
-                self.rep[a] = b
-            elif kind == "label":
-                self.label[a] = b
-            else:
-                del self.trans[a][b]
+            dropped, kept, added, relabeled = self.trail.pop()
+            self.rep[dropped] = dropped
+            for sym in added:
+                del self.trans[kept][sym]
+            if relabeled:
+                self.label[kept] = 0  # a kept root takes a label only when it had none
 
     def quotient_acyclic(self) -> bool:
         find, trans = self.find, self.trans
@@ -261,20 +275,6 @@ class _MergeEngine:
         accepting = frozenset(index[r] for r in roots if self.label[r] == 1)
         return PartialDfa(len(roots), alphabet, index[self.find(0)], tuple(rows), accepting)
 
-
-class _ExactSearch:
-    def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
-                 require_acyclic: bool, deadline: float | None):
-        self.pta = pta
-        self.engine = _MergeEngine(pta)
-        self.engine.reds.extend(clique)  # the first classes, fixed
-        self.engine.red_set.update(clique)
-        self.order = [node for node in order if node not in self.engine.red_set]
-        self.max_states = max_states
-        self.require_acyclic = require_acyclic
-        self.deadline = deadline
-        self.explored = 0
-
     def run(self) -> bool:
         """Depth-first search over merge choices with an explicit stack.
 
@@ -286,44 +286,39 @@ class _ExactSearch:
         frame.  Pairs the prefix tree already knows to conflict are counted
         but never folded.
         """
-        eng = self.engine
-        order = self.order
-        rows = self.pta.rows
-        reds = eng.reds
+        order, rows, reds, red_set, trail = self.order, self.rows, self.reds, self.red_set, self.trail
         frames: list[list[int]] = []  # [order index, node, class count, choices taken, trail mark]
         idx = 0
         while True:
             _check_deadline(self.deadline)
-            while idx < len(order) and eng.find(order[idx]) != order[idx]:
+            while idx < len(order) and self.find(order[idx]) != order[idx]:
                 idx += 1
             if idx == len(order):
                 return True
             node = order[idx]
-            frames.append([idx, node, len(reds), 0, len(eng.trail)])
+            frames.append([idx, node, len(reds), 0, len(trail)])
             while frames:
                 frame = frames[-1]
                 idx, node, count, taken, mark = frame
                 if taken > count:
                     reds.pop()
-                    eng.red_set.discard(node)
+                    red_set.discard(node)
                     frames.pop()
                     continue
-                eng.undo(mark)
+                self.undo(mark)
                 first = taken
                 row = rows[node]
                 for taken, red in enumerate(reds[first:count], first + 1):
                     if row >> red & 1:
                         continue
-                    if eng.fold(red, node) and (
-                        not self.require_acyclic or eng.quotient_acyclic()
-                    ):
+                    if self.fold(red, node) and (not self.require_acyclic or self.quotient_acyclic()):
                         break
-                    eng.undo(mark)
+                    self.undo(mark)
                 else:
                     if count < self.max_states:
                         taken += 1
                         reds.append(node)
-                        eng.red_set.add(node)
+                        red_set.add(node)
                     else:
                         self.explored += taken - first
                         frames.pop()
@@ -365,13 +360,13 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
         order, clique = pta.search_plan(deadline)
         if len(clique) > req.max_states:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
-        search = _ExactSearch(pta, order, clique, req.max_states, req.require_acyclic, deadline)
+        search = _MergeSearch(pta, order, clique, req.max_states, req.require_acyclic, deadline)
         sat = search.run()
     except _Timeout:
         return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
     if not sat:
         return SolveOutcome(SolveStatus.UNSAT, None, search.explored)
-    partial = search.engine.materialize(req.sample.alphabet)
+    partial = search.materialize(req.sample.alphabet)
     witness: Dfa | PartialDfa = partial if req.require_acyclic else partial.completed()
     if consistency_violations(witness, req.sample):
         raise RuntimeError("solver bug: sat witness is not consistent with the sample")
@@ -466,9 +461,9 @@ def rpni(sample: DfaSample) -> Dfa:
     if not sample.strings():
         raise ValueError("rpni needs a nonempty sample")
     pta = _Pta(sample)
-    search = _ExactSearch(pta, pta.bfs, [], len(pta.labels), False, None)
+    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), False, None)
     search.run()
-    dfa = search.engine.materialize(sample.alphabet).completed()
+    dfa = search.materialize(sample.alphabet).completed()
     if consistency_violations(dfa, sample):
         raise RuntimeError("rpni bug: merged automaton is not consistent with the sample")
     return dfa

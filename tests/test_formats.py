@@ -22,6 +22,7 @@ from dfalab import (
 )
 from dfalab.formats import (
     FormatError,
+    automaton_from_dict,
     automaton_from_json,
     automaton_to_dict,
     automaton_to_dot,
@@ -76,6 +77,25 @@ class TestAutomatonJson:
         with pytest.raises(FormatError, match="unknown automaton type"):
             automaton_from_json('{"type": "nfa", "states": 1, "alphabet": ["0"], '
                                 '"initial": 0, "transitions": []}')
+
+    @pytest.mark.parametrize("machine, field, value, message", [
+        ("dfa", "transitions", [[0, 0]], r"transition \[0, 0\] must be three integers"),
+        ("dfa", "transitions", [[0, 0, 1, 1]], "must be three integers"),
+        ("dfa", "transitions", [[0, "0", 1]], "must be three integers"),
+        ("dfa", "transitions", [0, 0, 1], "transition 0 must be three integers"),
+        ("dfa", "alphabet", "01", "'alphabet' must be a list"),
+        ("dfa", "accepting", "1", "'accepting' must be a list"),
+        ("mealy", "output", "+-+-", "'output' must be a list"),
+        ("moore", "output", "-+", "'output' must be a list"),
+        ("dfa", "states", "two", "wrong type"),
+    ])
+    def test_malformed_fields_are_format_errors(self, machine, field, value, message):
+        d = automaton_to_dict({"dfa": flip_flop(), "mealy": flip_flop().to_mealy(),
+                               "moore": flip_flop().to_moore()}[machine])
+        automaton_from_dict(d)  # well formed until the one field changes
+        d[field] = value
+        with pytest.raises(FormatError, match=message):
+            automaton_from_dict(d)
 
 
 class TestAbbadingo:

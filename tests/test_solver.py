@@ -37,7 +37,7 @@ from dfalab import (
 
 from dfalab import solver
 from dfalab.formats import automaton_to_json
-from dfalab.solver import _MergeEngine, _Pta
+from dfalab.solver import _MergeSearch, _Pta
 
 from conftest import DEMO5_EDGES, random_sample
 
@@ -457,6 +457,11 @@ def test_conflict_matches_its_definition_on_three_symbols(s, rng):
     _check_conflict_matches_its_definition(s, rng)
 
 
+def _unbounded_search(pta: _Pta) -> _MergeSearch:
+    """A search as rpni builds it: no clique, no state bound below the tree size."""
+    return _MergeSearch(pta, pta.bfs, [], len(pta.labels), False, None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(labeled_words())
 def test_conflicting_nodes_never_fold(s):
@@ -465,25 +470,51 @@ def test_conflicting_nodes_never_fold(s):
     for u in range(n):
         for v in range(n):
             if pta.conflict(u, v):
-                assert not _MergeEngine(pta).fold(u, v), (u, v)
+                assert not _unbounded_search(pta).fold(u, v), (u, v)
+
+
+def _classes(search: _MergeSearch):
+    """The union-find, the labels and every transition dict, in insertion order."""
+    return list(search.rep), list(search.label), [list(t.items()) for t in search.trans]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words(), st.data())
+def test_undo_restores_the_classes_at_its_mark(s, data):
+    pta = _Pta(s)
+    nodes = st.integers(0, len(pta.labels) - 1)
+    folds = st.lists(st.tuples(nodes, nodes), max_size=6)
+    search = _unbounded_search(pta)
+    reds = data.draw(st.lists(nodes, max_size=3, unique=True))
+    search.reds.extend(reds)
+    search.red_set.update(reds)
+    for keep, drop in data.draw(folds):  # successful or not, none undone
+        search.fold(keep, drop)
+    mark = len(search.trail)
+    before = _classes(search)
+    for keep, drop in data.draw(folds):
+        search.fold(keep, drop)
+    search.undo(mark)
+    assert len(search.trail) == mark
+    assert _classes(search) == before
 
 
 def _greedy_folds(s: DfaSample) -> PartialDfa:
     """RPNI without the conflict check: try every fold, undo the failures."""
     pta = _Pta(s)
-    eng = _MergeEngine(pta)
+    search = _unbounded_search(pta)
     for node in pta.bfs:
-        if eng.find(node) != node:
+        if search.find(node) != node:
             continue
-        for red in tuple(eng.reds):
-            mark = len(eng.trail)
-            if eng.fold(red, node):
+        for red in tuple(search.reds):
+            mark = len(search.trail)
+            if search.fold(red, node):
                 break
-            eng.undo(mark)
+            search.undo(mark)
         else:
-            eng.reds.append(node)
-            eng.red_set.add(node)
-    return eng.materialize(s.alphabet)
+            search.reds.append(node)
+            search.red_set.add(node)
+    return search.materialize(s.alphabet)
 
 
 def test_rpni_matches_fold_only_greedy_on_random_samples():
