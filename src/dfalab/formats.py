@@ -90,6 +90,12 @@ def _list_field(value: Any, field: str) -> list:
     return value
 
 
+def _integer(value: Any, field: str) -> int:
+    if type(value) is not int:  # no bool, float or numeric string
+        raise FormatError(f"automaton field {field!r} has the wrong type: {value!r} is not an integer")
+    return value
+
+
 def _transition(entry: Any) -> list[int]:
     if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
         raise FormatError(f"transition {entry!r} must be three integers [state, symbol, target]")
@@ -99,18 +105,15 @@ def _transition(entry: Any) -> list[int]:
 def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     try:
         kind = d["type"]
-        num_states = int(d["states"])
+        num_states = _integer(d["states"], "states")
         names = tuple(str(n) for n in _list_field(d["alphabet"], "alphabet"))
-        initial = int(d["initial"])
+        initial = _integer(d["initial"], "initial")
         edges = [_transition(entry) for entry in _list_field(d["transitions"], "transitions")]
-        accepting = frozenset(int(q) for q in _list_field(d.get("accepting", []), "accepting"))
+        accepting = frozenset(_integer(q, "accepting")
+                              for q in _list_field(d.get("accepting", []), "accepting"))
         out = _list_field(d.get("output", []), "output")
-    except FormatError:
-        raise
     except KeyError as e:
         raise FormatError(f"automaton document is missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise FormatError("automaton document has a field of the wrong type") from None
     if kind not in ("dfa", "partial-dfa", "moore", "mealy"):
         raise FormatError(f"unknown automaton type {kind!r}")
     alphabet = Alphabet(len(names), names)

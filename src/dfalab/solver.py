@@ -22,13 +22,15 @@ One class holds the search: the classes as a union-find over tree nodes
 with a label and transitions per class, the committed classes, and an
 undo trail of one record per merge; backtracking pops records to a mark.
 
-Before each fold the search asks the prefix tree whether the two nodes
-conflict.  A conflicting pair cannot share a class in any consistent
-quotient, so its fold would fail; it is skipped (and still counted in
-`states_explored`).  The whole relation is computed when the tree is
-wrapped, as one int per node whose bit v says whether that node
-conflicts with node v: n^2 bits for an n-node tree, from one pass up
-from the leaves.
+The conflict relation is computed when the tree is wrapped, as one int
+per node whose bit v says whether that node conflicts with node v: n^2
+bits for an n-node tree, from one pass up from the leaves.  A node that
+conflicts with any member of a class cannot join it in a consistent
+quotient, so that fold would fail; it is skipped (and still counted in
+`states_explored`).  The search reads the candidate classes for a node
+off one mask, the committed roots minus the node's row, and then drops
+those with another member in the row: each class of two or more nodes
+keeps its members as a bitset, kept up to date by every merge and undo.
 
 RPNI is the same search's first descent: plain breadth-first order, no
 clique and no state bound below the tree size, so it never backtracks and
@@ -181,9 +183,18 @@ def _conflict_rows(children, labels) -> list[int]:
 
 class _MergeSearch:
     """The merge search: union-find classes over prefix-tree nodes, the
-    committed classes (`reds`, the clique first) and the undo trail, one
-    (dropped root, kept root, symbols the kept root gained, whether it took
-    the dropped root's label) record per merge."""
+    committed classes and the undo trail, one (dropped root, kept root,
+    symbols the kept root gained, whether it took the dropped root's label)
+    record per merge.
+
+    The committed roots are `rank` (root -> creation index, in creation
+    order, the clique first) and `redmask`, the same roots as a bitset.  A
+    class of two or more nodes keeps its nodes as a bitset in `members`
+    under its root; a singleton has no entry.  A merge ORs the dropped
+    class's nodes into the kept root's, and its undo XORs them out again,
+    which is exact because classes are disjoint.  The dropped root's entry
+    is left as it was, since nothing changes a class that is not a root.
+    """
 
     def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
                  require_acyclic: bool, deadline: float | None):
@@ -191,14 +202,27 @@ class _MergeSearch:
         self.rep = list(range(len(pta.children)))
         self.label = list(pta.labels)
         self.trans = [dict(ch) for ch in pta.children]
-        self.reds = list(clique)  # the first classes, fixed
-        self.red_set = set(clique)
+        self.members: dict[int, int] = {}
+        self.rank: dict[int, int] = {}
+        self.redmask = 0
+        for node in clique:  # the first classes, fixed
+            self.commit(node)
         self.trail: list[tuple[int, int, list[int], bool]] = []
-        self.order = [node for node in order if node not in self.red_set]
+        self.order = [node for node in order if node not in self.rank]
         self.max_states = max_states
         self.require_acyclic = require_acyclic
         self.deadline = deadline
         self.explored = 0
+
+    def commit(self, root: int) -> None:
+        """Open the next committed class at `root`."""
+        self.rank[root] = len(self.rank)
+        self.redmask |= 1 << root
+
+    def uncommit(self, root: int) -> None:
+        """Close the last committed class, which `root` opened."""
+        del self.rank[root]
+        self.redmask ^= 1 << root
 
     def find(self, x: int) -> int:
         rep = self.rep
@@ -213,7 +237,7 @@ class _MergeSearch:
         identify two distinct committed classes; the caller must undo to
         its trail mark either way.
         """
-        rep, label, trans, red_set = self.rep, self.label, self.trans, self.red_set
+        rep, label, trans, rank, members = self.rep, self.label, self.trans, self.rank, self.members
         queue = [(keep, drop)]
         while queue:
             x, y = queue.pop()
@@ -221,14 +245,15 @@ class _MergeSearch:
             y = self.find(y)
             if x == y:
                 continue
-            if y in red_set:
-                if x in red_set:
+            if y in rank:
+                if x in rank:
                     return False
                 x, y = y, x
             la, lb = label[x], label[y]
             if la and lb and la != lb:
                 return False
             rep[y] = x
+            members[x] = members.get(x, 1 << x) | members.get(y, 1 << y)
             relabeled = not la  # then x takes y's label, which may be 0 too
             if relabeled:
                 label[x] = lb
@@ -245,9 +270,15 @@ class _MergeSearch:
         return True
 
     def undo(self, mark: int) -> None:
+        members = self.members
         while len(self.trail) > mark:
             dropped, kept, added, relabeled = self.trail.pop()
             self.rep[dropped] = dropped
+            rest = members[kept] ^ members.get(dropped, 1 << dropped)
+            if rest & (rest - 1):
+                members[kept] = rest
+            else:
+                del members[kept]  # a singleton again
             for sym in added:
                 del self.trans[kept][sym]
             if relabeled:
@@ -275,18 +306,35 @@ class _MergeSearch:
         accepting = frozenset(index[r] for r in roots if self.label[r] == 1)
         return PartialDfa(len(roots), alphabet, index[self.find(0)], tuple(rows), accepting)
 
+    def candidates(self, row: int, first: int) -> list[int]:
+        """The committed roots of rank `first` or more that the node with
+        conflict row `row` does not conflict with, in creation order."""
+        rank = self.rank
+        found = []
+        rest = self.redmask & ~row
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            red = low.bit_length() - 1
+            if rank[red] >= first:
+                found.append(red)
+        found.sort(key=rank.__getitem__)
+        return found
+
     def run(self) -> bool:
         """Depth-first search over merge choices with an explicit stack.
 
         A frame holds one tree node's choices: each class existing when the
         node was reached, in creation order, then a new class.  Classes are
-        a stack (opened by append, closed by pop on backtrack), so a frame
-        keeps only their count: while it is on top, its classes are
-        `reds[:count]`.  Clique nodes are classes from the start and get no
-        frame.  Pairs the prefix tree already knows to conflict are counted
-        but never folded.
+        a stack (opened by commit, closed by uncommit on backtrack), so a
+        frame keeps only their count: while it is on top, its classes are
+        the committed roots of rank below that count.  Clique nodes are
+        classes from the start and get no frame.  A class the node conflicts
+        with, at its root (read off `redmask` in one step) or at any other
+        member (its `members` bitset), is counted as tried but never folded:
+        the fold would fail.
         """
-        order, rows, reds, red_set, trail = self.order, self.rows, self.reds, self.red_set, self.trail
+        order, rows, rank, members, trail = self.order, self.rows, self.rank, self.members, self.trail
         frames: list[list[int]] = []  # [order index, node, class count, choices taken, trail mark]
         idx = 0
         while True:
@@ -296,34 +344,32 @@ class _MergeSearch:
             if idx == len(order):
                 return True
             node = order[idx]
-            frames.append([idx, node, len(reds), 0, len(trail)])
+            frames.append([idx, node, len(rank), 0, len(trail)])
             while frames:
                 frame = frames[-1]
                 idx, node, count, taken, mark = frame
                 if taken > count:
-                    reds.pop()
-                    red_set.discard(node)
+                    self.uncommit(node)
                     frames.pop()
                     continue
                 self.undo(mark)
                 first = taken
                 row = rows[node]
-                for taken, red in enumerate(reds[first:count], first + 1):
-                    if row >> red & 1:
+                for red in self.candidates(row, first):
+                    if row & members.get(red, 0):
                         continue
                     if self.fold(red, node) and (not self.require_acyclic or self.quotient_acyclic()):
+                        taken = rank[red] + 1
                         break
                     self.undo(mark)
                 else:
-                    if count < self.max_states:
-                        taken += 1
-                        reds.append(node)
-                        red_set.add(node)
-                    else:
-                        self.explored += taken - first
+                    if count >= self.max_states:
+                        self.explored += count - first
                         frames.pop()
                         continue
-                self.explored += taken - first  # one step per choice tried
+                    taken = count + 1
+                    self.commit(node)
+                self.explored += taken - first  # one step per choice tried, skipped ones too
                 frame[3] = taken
                 idx += 1
                 break
@@ -377,22 +423,33 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
 
 def min_consistent(
     sample: DfaSample,
-    upper_bound: int,
+    upper_bound: int | None = None,
     require_acyclic: bool = False,
     time_budget: float | None = None,
 ) -> tuple[int, Dfa | PartialDfa]:
     """Smallest state count admitting a consistent automaton, found by
     deciding m = 1, 2, ... up to upper_bound with `exists_consistent`.
 
-    One prefix tree serves every m, so its conflict rows, search order and
-    clique are built once; each m below the clique size is UNSAT with no
-    search.  Raises BoundExceededError when every m up to the bound is
-    UNSAT and SolveTimeoutError when the shared time budget runs out first.
+    Without an upper_bound, m goes up to the size of an automaton known to
+    be consistent: the RPNI automaton, or in acyclic mode the prefix tree
+    itself.  One prefix tree serves every m, so its conflict rows, search
+    order and clique are built once; each m below the clique size is UNSAT
+    with no search.  Raises BoundExceededError when every m up to the bound
+    is UNSAT and SolveTimeoutError when the shared time budget runs out
+    first.
     """
-    if upper_bound < 1:
+    if upper_bound is not None and upper_bound < 1:
         raise ValueError("upper_bound must be at least 1")
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _Pta(sample)
+    if upper_bound is None:
+        if require_acyclic:
+            upper_bound = len(pta.labels)
+        else:
+            try:
+                upper_bound = len(_rpni_search(pta, deadline).rank)
+            except _Timeout:
+                raise SolveTimeoutError("time budget exhausted while computing the RPNI bound") from None
     for m in range(1, upper_bound + 1):
         remaining = None
         if deadline is not None:
@@ -445,6 +502,14 @@ def brute_force_min(sample: DfaSample, m_max: int = 3) -> tuple[int, Dfa]:
     raise BoundExceededError(f"no consistent DFA with at most {m_max} states")
 
 
+def _rpni_search(pta: _Pta, deadline: float | None) -> _MergeSearch:
+    """The first descent over breadth-first order, run: every class it
+    keeps is committed, one per state of the RPNI automaton."""
+    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), False, deadline)
+    search.run()
+    return search
+
+
 def rpni(sample: DfaSample) -> Dfa:
     """Greedy merge baseline: fold each prefix-tree state (breadth-first)
     into the first earlier class that stays consistent, else promote it.
@@ -452,18 +517,16 @@ def rpni(sample: DfaSample) -> Dfa:
     This is the exact search's first descent over breadth-first order with
     no clique and the tree size as state bound: that bound never binds, so
     the search never backtracks.  Like every fold of the search, a fold
-    the prefix tree's conflict rows (n^2 bits for n tree nodes) show must
-    fail is skipped, which leaves the result unchanged.
+    into a class with a member the node conflicts with is skipped, which
+    leaves the result unchanged: the prefix tree's conflict rows (n^2 bits
+    for n tree nodes) show that it must fail.
 
     The output is completed to a total DFA; it is always consistent and
     never larger than the prefix tree.
     """
     if not sample.strings():
         raise ValueError("rpni needs a nonempty sample")
-    pta = _Pta(sample)
-    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), False, None)
-    search.run()
-    dfa = search.materialize(sample.alphabet).completed()
+    dfa = _rpni_search(_Pta(sample), None).materialize(sample.alphabet).completed()
     if consistency_violations(dfa, sample):
         raise RuntimeError("rpni bug: merged automaton is not consistent with the sample")
     return dfa

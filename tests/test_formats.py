@@ -97,6 +97,25 @@ class TestAutomatonJson:
         with pytest.raises(FormatError, match=message):
             automaton_from_dict(d)
 
+    # no coercion: a float, a numeric string or a bool is not a state
+    @pytest.mark.parametrize("bad", [2.9, "2", True], ids=["float", "string", "bool"])
+    def test_state_count_must_be_an_integer(self, bad):
+        d = {**automaton_to_dict(flip_flop()), "states": bad}
+        with pytest.raises(FormatError, match="'states' has the wrong type"):
+            automaton_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [0.0, "1", False], ids=["float", "string", "bool"])
+    def test_initial_state_must_be_an_integer(self, bad):
+        d = {**automaton_to_dict(flip_flop()), "initial": bad}
+        with pytest.raises(FormatError, match="'initial' has the wrong type"):
+            automaton_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True], ids=["float", "string", "bool"])
+    def test_accepting_states_must_be_integers(self, bad):
+        d = {**automaton_to_dict(flip_flop()), "accepting": [bad]}
+        with pytest.raises(FormatError, match="'accepting' has the wrong type"):
+            automaton_from_dict(d)
+
 
 class TestAbbadingo:
     def test_round_trip_with_epsilon(self):

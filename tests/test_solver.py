@@ -153,6 +153,28 @@ class TestMinConsistent:
         s = sample([(0,)], [(1,)])
         assert min_consistent(s, 3)[0] == 2 == brute_force_min(s)[0]
 
+    def test_default_bound_is_the_rpni_size(self, demo5, monkeypatch):
+        def refuse(req, *, _pta=None):  # every m UNSAT, so the bound shows in the error
+            return solver.SolveOutcome(SolveStatus.UNSAT, None, 0)
+
+        monkeypatch.setattr(solver, "exists_consistent", refuse)
+        s = zhang_sample(demo5)
+        with pytest.raises(BoundExceededError, match=f"DFA with at most {rpni(s).num_states} states"):
+            min_consistent(s)
+        with pytest.raises(BoundExceededError,
+                           match=f"acyclic automaton with at most {len(_Pta(s).labels)} states"):
+            min_consistent(s, require_acyclic=True)
+
+    def test_default_bound_on_the_empty_sample(self):
+        assert min_consistent(sample([], []))[0] == 1
+        assert min_consistent(sample([], []), require_acyclic=True)[0] == 1
+
+    def test_default_bound_in_acyclic_mode(self, triangle):
+        s = zhang_sample(triangle)
+        m_star, w = min_consistent(s, require_acyclic=True)
+        assert isinstance(w, PartialDfa) and w.is_acyclic() and is_consistent(w, s)
+        assert m_star == w.num_states == min_consistent(s, len(_Pta(s).labels), require_acyclic=True)[0]
+
     def test_bound_exhausted(self, triangle):
         with pytest.raises(BoundExceededError):
             min_consistent(zhang_sample(triangle), 3)
@@ -373,6 +395,16 @@ def test_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, sta
     assert hashlib.sha256(automaton_to_json(out.witness).encode()).hexdigest() == digest
 
 
+def test_c5_binary_lower_side_steps_are_pinned():
+    # no DFA with fewer than chi*L states: the clique (109 nodes) is far
+    # below m = 152, so the search itself proves UNSAT
+    g = Graph.cycle(5)
+    params = default_params(g, 3)
+    s = binary_sample(g, params, make_encoding(g, params))
+    out = exists_consistent(SolveRequest(s, 3 * params.L - 1))
+    assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 3_699_000)
+
+
 # the same side in acyclic mode: the search checks the quotient for a cycle
 # after every fold, and the witness is the partial automaton itself
 ACYCLIC_UPPER_PINS = [
@@ -474,8 +506,10 @@ def test_conflicting_nodes_never_fold(s):
 
 
 def _classes(search: _MergeSearch):
-    """The union-find, the labels and every transition dict, in insertion order."""
-    return list(search.rep), list(search.label), [list(t.items()) for t in search.trans]
+    """The union-find, the labels, every transition dict in insertion order,
+    and the member bitsets."""
+    return (list(search.rep), list(search.label), [list(t.items()) for t in search.trans],
+            dict(search.members))
 
 
 @settings(max_examples=150, deadline=None)
@@ -486,8 +520,8 @@ def test_undo_restores_the_classes_at_its_mark(s, data):
     folds = st.lists(st.tuples(nodes, nodes), max_size=6)
     search = _unbounded_search(pta)
     reds = data.draw(st.lists(nodes, max_size=3, unique=True))
-    search.reds.extend(reds)
-    search.red_set.update(reds)
+    for red in reds:
+        search.commit(red)
     for keep, drop in data.draw(folds):  # successful or not, none undone
         search.fold(keep, drop)
     mark = len(search.trail)
@@ -499,6 +533,30 @@ def test_undo_restores_the_classes_at_its_mark(s, data):
     assert _classes(search) == before
 
 
+@settings(max_examples=150, deadline=None)
+@given(labeled_words(), st.data())
+def test_a_node_conflicting_with_a_member_never_folds_into_its_class(s, data):
+    pta = _Pta(s)
+    n = len(pta.labels)
+    nodes = st.integers(0, n - 1)
+    search = _unbounded_search(pta)
+    for keep, drop in data.draw(st.lists(st.tuples(nodes, nodes), max_size=8)):
+        mark = len(search.trail)
+        if not search.fold(keep, drop):
+            search.undo(mark)
+    roots = {search.find(v) for v in range(n)}
+    for root in roots:  # a class's bitset holds exactly its nodes; singletons have none
+        nodes_in = [v for v in range(n) if search.find(v) == root]
+        assert search.members.get(root, 1 << root) == sum(1 << v for v in nodes_in)
+        assert (root in search.members) == (len(nodes_in) > 1)
+    for u in range(n):
+        for root in roots - {search.find(u)}:
+            if pta.rows[u] & search.members.get(root, 1 << root):
+                mark = len(search.trail)
+                assert not search.fold(root, u), (u, root)
+                search.undo(mark)
+
+
 def _greedy_folds(s: DfaSample) -> PartialDfa:
     """RPNI without the conflict check: try every fold, undo the failures."""
     pta = _Pta(s)
@@ -506,14 +564,13 @@ def _greedy_folds(s: DfaSample) -> PartialDfa:
     for node in pta.bfs:
         if search.find(node) != node:
             continue
-        for red in tuple(search.reds):
+        for red in tuple(search.rank):
             mark = len(search.trail)
             if search.fold(red, node):
                 break
             search.undo(mark)
         else:
-            search.reds.append(node)
-            search.red_set.add(node)
+            search.commit(node)
     return search.materialize(s.alphabet)
 
 
@@ -638,3 +695,8 @@ def test_zhang_minimum_is_chi_plus_one_on_random_graphs(n, seed):
 @pytest.mark.parametrize("name, g", suite_graphs(), ids=[name for name, _ in suite_graphs()])
 def test_zhang_minimum_is_chi_plus_one_on_suite_graphs(name, g):
     assert min_consistent(zhang_sample(g), g.num_vertices + 1)[0] == chromatic_number(g)[0] + 1
+
+
+@pytest.mark.parametrize("name, g", suite_graphs(), ids=[name for name, _ in suite_graphs()])
+def test_zhang_minimum_is_chi_plus_one_under_the_default_bound(name, g):
+    assert min_consistent(zhang_sample(g))[0] == chromatic_number(g)[0] + 1
