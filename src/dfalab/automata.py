@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 Word = tuple[int, ...]
+Run = tuple[Word, tuple[bool, ...]]  # an input word and the label of each nonempty prefix
 
 OUTPUT_PLUS = "+"
 OUTPUT_MINUS = "-"
@@ -149,7 +150,7 @@ class DfaSample:
         object.__setattr__(self, "counts", (labels.count(1), labels.count(-1)))
 
     @classmethod
-    def from_runs(cls, alphabet: Alphabet, runs: Iterable[tuple[Word, tuple[bool, ...]]],
+    def from_runs(cls, alphabet: Alphabet, runs: Iterable[Run],
                   empty: bool | None = None) -> "DfaSample":
         """Every prefix of every run input `word`, the length-k one labeled
         `out[k - 1]` and the empty one `empty` (None: unlabeled), in time
@@ -478,7 +479,7 @@ class MealyMachine:
         return tuple(out)
 
 
-def _format_run(run: tuple[Word, tuple[bool, ...]]) -> str:
+def _format_run(run: Run) -> str:
     word, out = run
     return f"({list(word)}, {output_str(out)!r})"
 
@@ -491,7 +492,7 @@ class MachineSample:
     """
 
     alphabet: Alphabet
-    runs: frozenset[tuple[Word, tuple[bool, ...]]]
+    runs: frozenset[Run]
 
     def __post_init__(self) -> None:
         runs = frozenset((tuple(s), tuple(bool(b) for b in t)) for s, t in self.runs)

@@ -64,12 +64,14 @@ def certify(
 
     `params` (default: `default_params(g, K)`) applies to binary and
     single, `budget` (seconds) to zhang's one solver call, and `ratio`
-    adds binary's RPNI ratio-chain check.  Illegal parameters raise
-    ValueError before the first check; a spent budget raises
+    adds binary's RPNI ratio-chain check.  K < 1 and illegal parameters
+    raise ValueError before the first check; a spent budget raises
     SolveTimeoutError.
     """
     if kind not in KINDS:
         raise ValueError(f"no such reduction kind {kind!r}; expected one of {', '.join(KINDS)}")
+    if K < 1:
+        raise ValueError("K must be a positive integer")
     if kind == "zhang":
         checks = _zhang(g, K, budget)
     else:

@@ -90,9 +90,9 @@ def _list_field(value: Any, field: str) -> list:
     return value
 
 
-def _integer(value: Any, field: str) -> int:
+def _integer(value: Any, field: str, document: str = "automaton") -> int:
     if type(value) is not int:  # no bool, float or numeric string
-        raise FormatError(f"automaton field {field!r} has the wrong type: {value!r} is not an integer")
+        raise FormatError(f"{document} field {field!r} has the wrong type: {value!r} is not an integer")
     return value
 
 
@@ -402,10 +402,8 @@ def metadata_params(meta: dict[str, Any], need_kn: bool) -> ReductionParams:
     for field in ("L", "head_len", "tail_len") + (("K", "N") if need_kn else ()):
         if meta.get(field) is None:
             raise FormatError(f"metadata is missing {field!r}")
-    try:
-        given = {f: int(meta[f]) for f in ("K", "L", "N", "head_len", "tail_len") if meta.get(f) is not None}
-    except TypeError:
-        raise FormatError("metadata lengths must be integers") from None
+    given = {f: _integer(meta[f], f, "metadata")
+             for f in ("K", "L", "N", "head_len", "tail_len") if meta.get(f) is not None}
     return ReductionParams(**{"K": 1, "N": given["L"] * 2 + 1, **given})
 
 

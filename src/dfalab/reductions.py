@@ -1,20 +1,23 @@
 """Instance generators: three reductions from graph coloring to
 consistent-automaton identification over prefix-closed samples.
 
-* zhang_sample: strings over the vertex/edge alphabet (the classic
-  vertex-then-incident-edge construction).
-* binary_sample: binary strings head + 0^L body + tail, one per incident
-  (vertex, edge) pair, with all prefixes labeled.
-* single_string: one long binary string whose labeled prefixes form the
-  entire sample; each element of the binary construction is embedded
-  behind a run of N zeros.
+Each family is defined once, as labeled runs (a word and the label of
+each nonempty prefix): its sample is their prefix tree, built by one
+`DfaSample.from_runs` call, and its extractor in `witnesses` replays them.
+
+* zhang_runs / zhang_sample: strings over the vertex/edge alphabet (the
+  classic vertex-then-incident-edge construction).
+* binary_runs / binary_sample: binary strings head + 0^L body + tail, one
+  per incident (vertex, edge) pair, with all prefixes labeled.
+* single_run / single_string: one long binary string whose labeled
+  prefixes form the entire sample; each element of the binary
+  construction is embedded behind a run of N zeros.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .automata import Alphabet, DfaSample, MachineSample, Word
+from .automata import Alphabet, DfaSample, MachineSample, Run, Word
 from .graphs import Graph
 
 
@@ -140,18 +143,22 @@ def zhang_alphabet(g: Graph) -> Alphabet:
     return Alphabet(len(names), tuple(names))
 
 
-def zhang_sample(g: Graph) -> DfaSample:
-    """Positives: the empty string plus (smaller endpoint, edge) pairs.
-    Negatives: every vertex alone plus (larger endpoint, edge) pairs.
+def zhang_runs(g: Graph) -> list[Run]:
+    """Each vertex alone, rejected, in vertex order; then, per edge in
+    canonical order, (smaller endpoint, edge) accepted and (larger
+    endpoint, edge) rejected.  The empty string is positive.
     """
     nv = g.num_vertices
-    pos: set[Word] = {()}
-    neg: set[Word] = {(i,) for i in range(nv)}
+    runs = [((v,), (False,)) for v in range(nv)]
     for rank, (u, v) in enumerate(g.canonical_edges()):
-        sym = nv + rank
-        pos.add((u, sym))
-        neg.add((v, sym))
-    return DfaSample(zhang_alphabet(g), frozenset(pos), frozenset(neg))
+        runs.append(((u, nv + rank), (False, True)))
+        runs.append(((v, nv + rank), (False, False)))
+    return runs
+
+
+def zhang_sample(g: Graph) -> DfaSample:
+    """The empty string and all prefixes of `zhang_runs`, labeled."""
+    return DfaSample.from_runs(zhang_alphabet(g), zhang_runs(g), empty=True)
 
 
 def incident_pairs(g: Graph) -> list[tuple[int, int, tuple[int, int]]]:
@@ -168,14 +175,13 @@ def incident_pairs(g: Graph) -> list[tuple[int, int, tuple[int, int]]]:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def binary_sample(g: Graph, params: ReductionParams, enc: Encoding) -> DfaSample:
-    """All prefixes of the generated strings, labeled.
+def binary_runs(g: Graph, params: ReductionParams, enc: Encoding) -> list[Run]:
+    """head + 0^L for every vertex, then the full string of every incident
+    pair in canonical order.
 
-    Positives are the body-complete strings head + 0^L for every vertex,
-    plus the full strings whose head vertex is the smaller edge endpoint.
-    Everything else in the prefix closure is negative (the empty string in
-    particular).  The construction does not depend on params.K.
+    The body end is positive, so is a full string whose head is the smaller
+    edge endpoint; every other nonempty prefix is negative, and so is the
+    empty string.  The construction does not depend on params.K.
 
     For graphs with isolated vertices the prefix closure is taken over the
     full strings together with the body-complete positives, which keeps
@@ -183,8 +189,6 @@ def binary_sample(g: Graph, params: ReductionParams, enc: Encoding) -> DfaSample
     closures coincide.
     """
     body = (0,) * params.L
-    # runs of head + 0^L for every vertex and of the full strings: the body
-    # end is positive, so is a full string whose head is the smaller endpoint
     runs = []
     for v in range(g.num_vertices):
         w = enc.vertex_codes[v] + body
@@ -192,7 +196,12 @@ def binary_sample(g: Graph, params: ReductionParams, enc: Encoding) -> DfaSample
     for v, rank, (i, j) in incident_pairs(g):
         (w, to_body), tail = runs[v], enc.edge_codes[rank]
         runs.append((w + tail, to_body + (False,) * (len(tail) - 1) + (v == i,)))
-    return DfaSample.from_runs(Alphabet.binary(), runs, empty=False)
+    return runs
+
+
+def binary_sample(g: Graph, params: ReductionParams, enc: Encoding) -> DfaSample:
+    """All prefixes of `binary_runs`, labeled."""
+    return DfaSample.from_runs(Alphabet.binary(), binary_runs(g, params, enc), empty=False)
 
 
 def _block_labels(params: ReductionParams, positive_end: bool) -> list[bool]:
@@ -214,10 +223,7 @@ def _block_labels(params: ReductionParams, positive_end: bool) -> list[bool]:
     )
 
 
-@functools.lru_cache(maxsize=8)
-def single_run(
-    g: Graph, params: ReductionParams, enc: Encoding
-) -> tuple[Word, tuple[bool, ...]]:
+def single_run(g: Graph, params: ReductionParams, enc: Encoding) -> Run:
     """The concatenated string and its per-position labels.
 
     Light form of single_string: for a fully prefix-closed single-string
@@ -230,11 +236,12 @@ def single_run(
         raise ValueError("the single-string instance needs a graph with at least one edge")
     body = (0,) * params.L
     zeros = (0,) * params.N
+    patterns = {end: _block_labels(params, end) for end in (False, True)}
     symbols: list[int] = []
     labels: list[bool] = []
     for v, rank, (i, j) in pairs:
         symbols.extend(zeros + enc.vertex_codes[v] + body + enc.edge_codes[rank])
-        labels.extend(_block_labels(params, positive_end=(v == i)))
+        labels.extend(patterns[v == i])
     return tuple(symbols), tuple(labels)
 
 

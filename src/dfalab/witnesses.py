@@ -10,23 +10,27 @@ extracted from where the zero-run chains end.  Also here: the
 chromatic-independent two-chain machine for the single-string instance,
 and the bookkeeping relating a heuristic solver's size to the chromatic
 number.
+
+Every extractor first replays its family's labeled runs (`zhang_runs`,
+`binary_runs`, `single_run` in `reductions`) through the automaton, which
+checks consistency with the sample those runs define without building it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .automata import Alphabet, Dfa, PartialDfa, Word, consistency_violations
+from .automata import Alphabet, Dfa, PartialDfa, Run, Word
 from .graphs import Coloring, Graph, chromatic_number, is_proper_coloring
 from .reductions import (
     Encoding,
     ReductionParams,
-    binary_sample,
+    binary_runs,
     incident_pairs,
     param_warnings,
     single_run,
     zhang_alphabet,
-    zhang_sample,
+    zhang_runs,
 )
 
 
@@ -143,40 +147,35 @@ def _check_encoding(g: Graph, params: ReductionParams, enc: Encoding) -> None:
         raise ValueError("encoding does not provide a tail code per edge")
 
 
-def _require_consistent(machine: Dfa | PartialDfa, sample, what: str) -> None:
-    bad = consistency_violations(machine, sample)
-    if bad:
-        first = bad[0]
-        raise InconsistentDfaError(
-            f"{what}: {len(bad)} sample strings violated, e.g. "
-            f"{list(first.symbols)!r} should be {'accepted' if first.label else 'rejected'}"
-        )
+def _replay(m: Dfa | PartialDfa, alphabet: Alphabet, runs: Iterable[Run], empty: bool,
+            what: str) -> list[list[int | None]]:
+    """The states `m` passes through along each run, after checking that it
+    labels the empty string `empty` and every prefix of every run as the
+    run says: consistency with `DfaSample.from_runs(alphabet, runs, empty)`.
 
-
-def _walk_single_run(
-    m: Dfa, word, labels, what: str
-) -> list[int]:
-    """Check consistency with a fully prefix-closed single-string sample by
-    one walk along the string, returning the state after each position.
-
-    Equivalent to consistency with the materialized prefix sample: the
-    verdict on the length-k prefix is the accept flag of the k-th state.
+    A run that falls off a partial automaton rejects from there on.  Raises
+    InconsistentDfaError naming the first wrong prefix.
     """
-    if m.initial in m.accepting:
-        raise InconsistentDfaError(f"{what}: the empty prefix must be rejected")
-    trans = m.transitions
-    accepting = m.accepting
-    state = m.initial
-    states = []
-    for pos, a in enumerate(word):
-        state = trans[state][a]
-        states.append(state)
-        if (state in accepting) != labels[pos]:
-            raise InconsistentDfaError(
-                f"{what}: the length-{pos + 1} prefix should be "
-                f"{'accepted' if labels[pos] else 'rejected'}"
-            )
-    return states
+    if m.alphabet.size != alphabet.size:
+        raise ValueError(
+            f"alphabet mismatch: machine has {m.alphabet.size} symbols, "
+            f"sample has {alphabet.size}"
+        )
+    trans, accepting = m.transitions, m.accepting
+    verdict = {True: "accepted", False: "rejected"}
+    if (m.initial in accepting) != empty:
+        raise InconsistentDfaError(f"{what}: the empty string should be {verdict[empty]}")
+    walks = []
+    for r, (word, out) in enumerate(runs):
+        q, states = m.initial, []
+        for k, (a, label) in enumerate(zip(word, out), 1):
+            q = None if q is None else trans[q][a]
+            if (q in accepting) != label:
+                raise InconsistentDfaError(
+                    f"{what}: the length-{k} prefix of run {r} should be {verdict[label]}")
+            states.append(q)
+        walks.append(states)
+    return walks
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +212,8 @@ def _group_by_first_occurrence(states: list[int]) -> tuple[list[int], int]:
 
 def coloring_from_zhang_dfa(m: Dfa, g: Graph) -> Coloring:
     """Color each vertex by the state its one-symbol string reaches."""
-    _require_consistent(m, zhang_sample(g), "zhang extraction")
-    targets = [m.walk((v,)) for v in range(g.num_vertices)]
-    colors, k = _group_by_first_occurrence(targets)
+    walks = _replay(m, zhang_alphabet(g), zhang_runs(g), True, "zhang extraction")
+    colors, k = _group_by_first_occurrence([walk[0] for walk in walks[: g.num_vertices]])
     coloring = Coloring(tuple(colors), k)
     if not is_proper_coloring(g, coloring):
         raise ExtractionError("consistent DFA produced an improper coloring")
@@ -320,7 +318,7 @@ def coloring_from_binary_dfa(
     other), so the returned coloring is proper for any consistent input;
     no size bound is required.
     """
-    _require_consistent(m, binary_sample(g, params, enc), "binary extraction")
+    _replay(m, Alphabet.binary(), binary_runs(g, params, enc), False, "binary extraction")
     return _extract_grouping(m, g, params, enc, from_state=None)
 
 
@@ -362,18 +360,12 @@ def coloring_from_single_dfa(
         raise ValueError(
             f"automaton has {m.num_states} states, above the bound N+(K+1)L = {bound}"
         )
-    word, labels = single_run(g, params, enc)
-    states = _walk_single_run(m, word, labels, "single-string extraction")
-
-    block = params.block_len()
-    returns = [
-        states[pos - 1] for pos in range(1, len(word) + 1) if pos % block == params.N
-    ]
-    if len(set(returns)) != 1:
-        raise ExtractionError(
-            f"no common return state after the zero runs: saw {sorted(set(returns))}"
-        )
-    q_ret = returns[0]
+    [states] = _replay(m, Alphabet.binary(), [single_run(g, params, enc)], False,
+                       "single-string extraction")
+    returns = set(states[params.N - 1 :: params.block_len()])  # after each 0^N
+    if len(returns) != 1:
+        raise ExtractionError(f"no common return state after the zero runs: saw {sorted(returns)}")
+    [q_ret] = returns
 
     coloring, _analysis = _extract_grouping(m, g, params, enc, from_state=q_ret)
     if coloring.num_colors > params.K:
@@ -417,9 +409,8 @@ def two_chain_dfa(g: Graph, params: ReductionParams, enc: Encoding) -> Dfa:
         runs.append([(None, (sign, end), True), *_spell(sign, code, ("connector", sign, nxt), sign),
                      (0, (nxt, 0), accept[0])])
     dfa = _quotient(Alphabet.binary(), runs).completed()
-
-    word, labels = single_run(g, params, enc)
-    _walk_single_run(dfa, word, labels, "two-chain construction self-check")
+    _replay(dfa, Alphabet.binary(), [single_run(g, params, enc)], False,
+            "two-chain construction self-check")
     return dfa
 
 

@@ -83,6 +83,13 @@ def test_illegal_parameters_raise_before_any_check():
         next(certify("two-chain", g, 3))
 
 
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("K", [0, -3])
+def test_a_color_bound_below_one_raises_before_any_check(kind, K):
+    with pytest.raises(ValueError, match="K must be a positive integer"):
+        next(certify(kind, Graph.complete(3), K))
+
+
 def test_suite_graphs_seeds_the_random_graphs():
     names = [name for name, _g in suite_graphs(2, seed=5)]
     assert names == ["triangle", "c5", "k4", "demo5", "edgeless4", "p4",

@@ -163,6 +163,21 @@ class TestWitnessExtract:
         w.write_text(automaton_to_json(accept_all))
         assert main(["extract", "--kind", "zhang", "--graph", k3_col, "--dfa", str(w)]) == 1
 
+    @pytest.mark.parametrize("kind", ["zhang", "binary", "single"])
+    def test_a_dfa_over_the_wrong_alphabet_is_usage_error(self, kind, k3_col, tmp_path, capsys):
+        # zhang's k3 alphabet has six symbols, binary and single have two
+        other = "binary" if kind == "zhang" else "zhang"
+        w = tmp_path / "w.json"
+        assert main(["witness", "--kind", other, "--graph", k3_col, "--K", "3", "--out", str(w)]) == 0
+        meta = []
+        if kind != "zhang":
+            assert main(["reduce", kind, "--graph", k3_col, "--K", "3",
+                         "--out", str(tmp_path / "s.abb")]) == 0
+            meta = ["--meta", str(tmp_path / "s.abb.meta.json")]
+        capsys.readouterr()
+        assert main(["extract", "--kind", kind, "--graph", k3_col, "--dfa", str(w), *meta]) == 2
+        assert capsys.readouterr().err.startswith("error: alphabet mismatch")
+
     def test_single_round_trip(self, k3_col, tmp_path, capsys):
         sample_path = tmp_path / "s.abb"
         main(["reduce", "single", "--graph", k3_col, "--K", "3", "--out", str(sample_path)])
@@ -214,6 +229,14 @@ class TestVerify:
         assert main(["verify", "--kind", "single", "--graph", k3_col, "--K", "3"]) == 0
         out = capsys.readouterr().out
         assert "two-chain" in out
+
+    @pytest.mark.parametrize("kind", ["zhang", "binary", "single"])
+    @pytest.mark.parametrize("K", ["0", "-3"])
+    def test_a_color_bound_below_one_is_usage_error(self, kind, K, k3_col, capsys):
+        assert main(["verify", "--kind", kind, "--graph", k3_col, f"--K={K}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: K must be a positive integer\n"
 
     def test_illegal_override_is_usage_error(self, k3_col):
         assert main(["verify", "--kind", "binary", "--graph", k3_col,
@@ -349,11 +372,16 @@ MALFORMED_DOCUMENTS = [
     ("extract", "meta", {"vertex_codes": 5}),
     ("extract", "meta", {"L": [3]}),
 ]
+# lengths that int() would coerce: a float, a bool and a numeric string
+MALFORMED_LENGTHS = [{"L": 25.9}, {"head_len": True}, {"tail_len": "2"}]
 
 
-@pytest.mark.parametrize("command, target, patch", MALFORMED_DOCUMENTS,
+@pytest.mark.parametrize("command, target, patch",
+                         MALFORMED_DOCUMENTS + [("extract", "meta", p) for p in MALFORMED_LENGTHS],
                          ids=[f"{c}-{t}-{''.join(p) if isinstance(p, dict) else 'array'}"
-                              for c, t, p in MALFORMED_DOCUMENTS])
+                              for c, t, p in MALFORMED_DOCUMENTS]
+                         + [f"extract-meta-{k}-{type(v).__name__}"
+                            for p in MALFORMED_LENGTHS for k, v in p.items()])
 def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path, capsys):
     w, meta = tmp_path / "w.json", tmp_path / "b.abb.meta.json"
     main(["reduce", "binary", "--graph", k3_col, "--K", "3", "--out", str(tmp_path / "b.abb")])

@@ -26,7 +26,6 @@ from dfalab import (
     single_string,
 )
 from dfalab.formats import sample_to_abbadingo
-from dfalab.reductions import single_run
 
 
 @st.composite
@@ -222,7 +221,6 @@ def test_single_string_allocates_linear_memory():
     g = Graph.complete(4)
     params = default_params(g, 4)
     enc = make_encoding(g, params)
-    single_run.cache_clear()
     tracemalloc.start()
     try:
         word, _sample, _run = single_string(g, params, enc)

@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from dfalab import (
+    DfaSample,
     Graph,
     PrefixCompleteness,
     ReductionParams,
@@ -19,6 +21,8 @@ from dfalab import (
     zhang_sample,
 )
 from dfalab.reductions import incident_pairs, zhang_alphabet
+
+from conftest import suite_graphs
 
 
 class TestParams:
@@ -91,6 +95,18 @@ class TestZhangSample:
 
     def test_prefix_complete(self, demo5):
         assert prefix_completeness(zhang_sample(demo5)) is PrefixCompleteness.COMPLETE
+
+    @pytest.mark.parametrize("name, g", suite_graphs(), ids=[name for name, _g in suite_graphs()])
+    def test_runs_build_the_sample_of_the_word_sets(self, name, g):
+        # the vertex/edge construction spelled as word sets, built by the
+        # set-based constructor: the same tree, node numbering included
+        nv, edges = g.num_vertices, g.canonical_edges()
+        pos = {()} | {(u, nv + rank) for rank, (u, _v) in enumerate(edges)}
+        neg = {(v,) for v in range(nv)} | {(v, nv + rank) for rank, (_u, v) in enumerate(edges)}
+        expected = DfaSample(zhang_alphabet(g), pos, neg)
+        s = zhang_sample(g)
+        assert s == expected
+        assert (s.labels, s.children) == (expected.labels, expected.children)
 
 
 class TestBinarySample:
@@ -228,6 +244,17 @@ class TestCanonicalOrder:
             (2, (0, 2)),
             (2, (1, 2)),
         ]
+
+
+def test_no_dfalab_function_is_memoized():
+    # a memo cache outlives the call that filled it: a later call with equal
+    # arguments would reuse its sample instead of generating one
+    import dfalab.cli  # noqa: F401  (every module of the package is loaded)
+
+    memoized = [f"{name}.{attr}" for name, module in list(sys.modules.items())
+                if name == "dfalab" or name.startswith("dfalab.")
+                for attr, value in vars(module).items() if hasattr(value, "cache_clear")]
+    assert memoized == []
 
 
 def test_generated_samples_are_prefix_complete_and_disjoint():

@@ -2,6 +2,8 @@
 the ratio bookkeeping."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from dfalab import (
@@ -17,6 +19,7 @@ from dfalab import (
     coloring_from_binary_dfa,
     coloring_from_single_dfa,
     coloring_from_zhang_dfa,
+    consistency_violations,
     default_params,
     is_consistent,
     is_proper_coloring,
@@ -294,6 +297,76 @@ class TestRatioReport:
         pta = prefix_tree_acceptor(binary_sample(triangle, params, enc)).completed()
         d = ratio_report(triangle, pta, params, enc).as_dict()
         assert set(d) == {"m_hat", "k_hat", "L", "k_star", "m_star_lower"}
+
+
+def _flip_one_inner_prefix(dfa: Dfa, sample, inner) -> Dfa:
+    """`dfa` with one state's verdict flipped: the first state, in preorder,
+    that exactly one sample prefix reaches, where that prefix ends no run
+    (its tree node has children) and its length passes `inner`.  So the
+    result disagrees with `dfa` on that one sample prefix and no other."""
+    state, depth = [dfa.initial] * len(sample.labels), [0] * len(sample.labels)
+    for node, children in enumerate(sample.children):  # parents come first
+        for a, child in children.items():
+            state[child], depth[child] = dfa.transitions[state[node]][a], depth[node] + 1
+    reached = Counter(state)
+    node = next(n for n in range(len(state))
+                if reached[state[n]] == 1 and sample.children[n] and inner(depth[n]))
+    flipped = Dfa(dfa.num_states, dfa.alphabet, dfa.initial, dfa.transitions,
+                  dfa.accepting ^ {state[node]})
+    assert len(consistency_violations(dfa, sample)) == 0
+    assert len(consistency_violations(flipped, sample)) == 1
+    return flipped
+
+
+class TestReplay:
+    """Each extractor replays every prefix of its family's runs, not only
+    their ends, and checks the automaton's alphabet first."""
+
+    @staticmethod
+    def _inner(params, offset=0):
+        # a body or tail prefix short of the body end and of the tail end
+        head_end = offset + params.head_len
+        body_end = head_end + params.L
+        return lambda d: head_end < d < body_end or body_end < d < body_end + params.tail_len
+
+    def test_zhang_rejects_one_wrong_vertex_prefix(self, triangle):
+        _k, coloring = oracle_coloring(triangle)
+        w = zhang_dfa_from_coloring(triangle, coloring).completed()
+        flipped = _flip_one_inner_prefix(w, zhang_sample(triangle), lambda d: d == 1)
+        with pytest.raises(InconsistentDfaError):
+            coloring_from_zhang_dfa(flipped, triangle)
+
+    def test_binary_rejects_one_wrong_inner_prefix(self, triangle):
+        params = default_params(triangle, 3)
+        enc = make_encoding(triangle, params)
+        _k, coloring = oracle_coloring(triangle)
+        w = binary_dfa_from_coloring(triangle, coloring, params, enc).completed()
+        flipped = _flip_one_inner_prefix(w, binary_sample(triangle, params, enc), self._inner(params))
+        with pytest.raises(InconsistentDfaError):
+            coloring_from_binary_dfa(flipped, triangle, params, enc)
+
+    def test_single_rejects_one_wrong_inner_prefix(self, triangle):
+        params = default_params(triangle, 3)
+        enc = make_encoding(triangle, params)
+        _k, coloring = oracle_coloring(triangle)
+        w = single_dfa_from_coloring(triangle, coloring, params, enc)
+        inner = self._inner(params, offset=params.N)
+        flipped = _flip_one_inner_prefix(w, single_string(triangle, params, enc)[1],
+                                         lambda d: inner((d - 1) % params.block_len() + 1))
+        with pytest.raises(InconsistentDfaError):
+            coloring_from_single_dfa(flipped, triangle, params, enc)
+
+    def test_a_dfa_over_the_wrong_alphabet_is_rejected(self, triangle):
+        params = default_params(triangle, 3)
+        enc = make_encoding(triangle, params)
+        _k, coloring = oracle_coloring(triangle)
+        six = zhang_dfa_from_coloring(triangle, coloring).completed()
+        two = binary_dfa_from_coloring(triangle, coloring, params, enc).completed()
+        with pytest.raises(ValueError, match="machine has 2 symbols, sample has 6"):
+            coloring_from_zhang_dfa(two, triangle)
+        for extract in (coloring_from_binary_dfa, coloring_from_single_dfa):
+            with pytest.raises(ValueError, match="machine has 6 symbols, sample has 2"):
+                extract(six, triangle, params, enc)
 
 
 def test_round_trips_across_the_suite():
