@@ -36,10 +36,7 @@ def main() -> None:
         params = default_params(g, 3)
         enc = make_encoding(g, params)
         sample = binary_sample(g, params, enc)
-        if args.pta:
-            heuristic = prefix_tree_acceptor(sample).completed()
-        else:
-            heuristic = rpni(sample)
+        heuristic = prefix_tree_acceptor(sample) if args.pta else rpni(sample)
         report = ratio_report(g, heuristic, params, enc)
         print(json.dumps({"graph": name, **report.as_dict()}, sort_keys=True))
 

@@ -404,9 +404,11 @@ class PartialDfa:
     def completed(self) -> Dfa:
         """Fill every missing entry with a self-loop.
 
-        Keeps the state count and stays consistent with every sample the
-        partial automaton was consistent with, since a fallen-off run is
-        rejected and a self-loop on a non-accepting state still rejects.
+        Keeps the state count.  Keeps consistency with a sample only when
+        every sample string has a full run, as on every quotient of the
+        sample's prefix tree (solver and RPNI output, the forward
+        witnesses): a string that falls off right after an accepting state
+        is rejected, and a self-loop there would accept it.
         """
         rows = tuple(
             tuple(q if t is None else t for t in row)

@@ -234,12 +234,10 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _load_dfa(path: str, command: str) -> Dfa:
-    """The DFA document at `path`, completed if partial."""
+def _load_dfa(path: str, command: str) -> Dfa | PartialDfa:
+    """The dfa or partial-dfa document at `path`, as it is."""
     machine = automaton_from_json(Path(path).read_text())
-    if isinstance(machine, PartialDfa):
-        machine = machine.completed()
-    if not isinstance(machine, Dfa):
+    if not isinstance(machine, (Dfa, PartialDfa)):
         raise ValueError(f"{command} needs a DFA document (moore/mealy given)")
     return machine
 
@@ -292,6 +290,8 @@ def cmd_convert(args) -> int:
     out = Path(args.output)
     if args.to in ("moore", "mealy"):
         machine = _load_dfa(args.input, f"convert --to {args.to}")
+        if isinstance(machine, PartialDfa):
+            machine = machine.completed()  # Moore and Mealy machines are total
         converted = machine.to_moore() if args.to == "moore" else machine.to_mealy()
         out.write_text(automaton_to_json(converted))
     elif args.to == "machine-sample":

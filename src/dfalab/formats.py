@@ -408,10 +408,10 @@ def metadata_params(meta: dict[str, Any], need_kn: bool) -> ReductionParams:
 
 
 def metadata_encoding(meta: dict[str, Any]) -> Encoding:
-    if meta.get("vertex_codes") is None or meta.get("edge_codes") is None:
+    groups = [meta.get("vertex_codes"), meta.get("edge_codes")]
+    if None in groups:
         raise FormatError("metadata is missing the vertex/edge codes")
-    try:
-        codes = [tuple(tuple(int(c) for c in s) for s in meta[f]) for f in ("vertex_codes", "edge_codes")]
-    except TypeError:
-        raise FormatError("metadata codes must be lists of bit strings") from None
-    return Encoding(*codes)
+    for group in groups:
+        if not isinstance(group, list) or not all(isinstance(s, str) and set(s) <= {"0", "1"} for s in group):
+            raise FormatError("metadata codes must be lists of strings of 0s and 1s")
+    return Encoding(*(tuple(tuple(map(int, s)) for s in group) for group in groups))

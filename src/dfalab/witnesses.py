@@ -11,9 +11,12 @@ chromatic-independent two-chain machine for the single-string instance,
 and the bookkeeping relating a heuristic solver's size to the chromatic
 number.
 
-Every extractor first replays its family's labeled runs (`zhang_runs`,
-`binary_runs`, `single_run` in `reductions`) through the automaton, which
-checks consistency with the sample those runs define without building it.
+Every extractor replays its family's labeled runs (`zhang_runs`,
+`binary_runs`, `single_run` in `reductions`) through the automaton once,
+which checks consistency with the sample those runs define without
+building it, and reads each vertex's chain off the states of that
+replay.  Nothing else is walked, so a partial automaton is taken as it
+is: a run that falls off it rejects from there on.
 """
 from __future__ import annotations
 
@@ -210,8 +213,13 @@ def _group_by_first_occurrence(states: list[int]) -> tuple[list[int], int]:
     return colors, len(seen)
 
 
-def coloring_from_zhang_dfa(m: Dfa, g: Graph) -> Coloring:
-    """Color each vertex by the state its one-symbol string reaches."""
+def coloring_from_zhang_dfa(m: Dfa | PartialDfa, g: Graph) -> Coloring:
+    """Color each vertex by the state its one-symbol string reaches.
+
+    On a partial automaton the vertices whose string falls off form one
+    class; it is independent, since the smaller endpoint of an edge starts
+    an accepted string and so cannot fall off.
+    """
     walks = _replay(m, zhang_alphabet(g), zhang_runs(g), True, "zhang extraction")
     colors, k = _group_by_first_occurrence([walk[0] for walk in walks[: g.num_vertices]])
     coloring = Coloring(tuple(colors), k)
@@ -261,65 +269,45 @@ def binary_dfa_from_coloring(
     return _quotient(Alphabet.binary(), _binary_runs(g, coloring, params, enc))
 
 
-def _chain_of(m: Dfa, start_word: Word, L: int, from_state: int | None = None) -> list[int]:
-    """States q_0..q_L along start_word then L zeros."""
-    q = m.walk(start_word, start=from_state)
-    states = [q]
-    for _ in range(L):
-        q = m.transitions[q][0]
-        states.append(q)
-    return states
-
-
 def _extract_grouping(
-    m: Dfa, g: Graph, params: ReductionParams, enc: Encoding, from_state: int | None
+    chains: list[list[int]], g: Graph, L: int
 ) -> tuple[Coloring, ChainAnalysis]:
-    chains = [
-        _chain_of(m, enc.vertex_codes[v], params.L, from_state)
-        for v in range(g.num_vertices)
-    ]
+    """Group vertices by the last of their chain's L+1 states.
+
+    Consistency makes each class's chain repeat no state and keeps the
+    chains of distinct classes disjoint, so together they hold k_hat(L+1)
+    distinct states; anything less raises ExtractionError.
+    """
     ends = [c[-1] for c in chains]
     colors, k_hat = _group_by_first_occurrence(ends)
-    rep_chains = []
-    seen: set[int] = set()
-    for v, c in enumerate(colors):
-        if c not in seen:
-            seen.add(c)
-            rep_chains.append(tuple(chains[v]))
-
-    for states in rep_chains:
-        if len(set(states)) != len(states):
-            raise ExtractionError("zero-chain revisits a state; the input cannot be consistent")
-    all_chain_states: set[int] = set()
-    for states in rep_chains:
-        if all_chain_states & set(states):
-            raise ExtractionError("zero-chains of distinct classes overlap")
-        all_chain_states |= set(states)
-    if k_hat * params.L > m.num_states:
-        raise ExtractionError(
-            f"found {k_hat} disjoint chains of {params.L} states in a "
-            f"{m.num_states}-state automaton"
-        )
-
+    first: dict[int, tuple[int, ...]] = {}
+    for c, chain in zip(colors, chains):
+        first.setdefault(c, tuple(chain))
+    rep_chains = tuple(first.values())
+    if len(set().union(*rep_chains)) != k_hat * (L + 1):
+        raise ExtractionError("zero-chains revisit a state or overlap across classes; "
+                              "the input cannot be consistent")
     coloring = Coloring(tuple(colors), k_hat)
     if not is_proper_coloring(g, coloring):
         raise ExtractionError("consistent DFA produced an improper coloring")
-    analysis = ChainAnalysis(tuple(ends), k_hat, tuple(rep_chains))
-    return coloring, analysis
+    return coloring, ChainAnalysis(tuple(ends), k_hat, rep_chains)
 
 
 def coloring_from_binary_dfa(
-    m: Dfa, g: Graph, params: ReductionParams, enc: Encoding
+    m: Dfa | PartialDfa, g: Graph, params: ReductionParams, enc: Encoding
 ) -> tuple[Coloring, ChainAnalysis]:
-    """Group vertices by the state their head + 0^L walk reaches.
+    """Group vertices by the state their head + 0^L run reaches.
 
-    Consistency alone forces adjacent vertices into different classes (the
-    shared tail code is accepted from one end state and rejected from the
-    other), so the returned coloring is proper for any consistent input;
-    no size bound is required.
+    Run v of `binary_runs` is vertex v's head + 0^L, so its chain is read
+    off the replay.  Consistency alone forces adjacent vertices into
+    different classes (the shared tail code is accepted from one end state
+    and rejected from the other), so the returned coloring is proper for
+    any consistent input; no size bound is required.
     """
-    _replay(m, Alphabet.binary(), binary_runs(g, params, enc), False, "binary extraction")
-    return _extract_grouping(m, g, params, enc, from_state=None)
+    _check_encoding(g, params, enc)
+    walks = _replay(m, Alphabet.binary(), binary_runs(g, params, enc), False, "binary extraction")
+    h, L = params.head_len, params.L
+    return _extract_grouping([walks[v][h - 1 : h + L] for v in range(g.num_vertices)], g, L)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +333,18 @@ def single_dfa_from_coloring(
 
 
 def coloring_from_single_dfa(
-    m: Dfa, g: Graph, params: ReductionParams, enc: Encoding
+    m: Dfa | PartialDfa, g: Graph, params: ReductionParams, enc: Encoding
 ) -> Coloring:
     """Verify the common-return-state property, then group chain ends.
 
     The automaton must return to one fixed state after each block's leading
-    zero run (checked by direct simulation, not assumed); vertex classes
-    are then read off relative to that state exactly as in the binary
-    extraction.
+    zero run (checked on the replay, not assumed).  A vertex's chain is
+    read off the head + 0^L of its first block, exactly as in the binary
+    extraction; a vertex with no block (an isolated one, which the string
+    does not constrain) joins block 0's class.
     """
     _require_legal(g, params)
+    _check_encoding(g, params, enc)
     bound = params.N + (params.K + 1) * params.L
     if m.num_states > bound:
         raise ValueError(
@@ -362,12 +352,18 @@ def coloring_from_single_dfa(
         )
     [states] = _replay(m, Alphabet.binary(), [single_run(g, params, enc)], False,
                        "single-string extraction")
-    returns = set(states[params.N - 1 :: params.block_len()])  # after each 0^N
+    B = params.block_len()
+    returns = set(states[params.N - 1 :: B])  # after each 0^N
     if len(returns) != 1:
         raise ExtractionError(f"no common return state after the zero runs: saw {sorted(returns)}")
-    [q_ret] = returns
 
-    coloring, _analysis = _extract_grouping(m, g, params, enc, from_state=q_ret)
+    first_block: dict[int, int] = {}
+    for b, (v, _rank, _edge) in enumerate(incident_pairs(g)):
+        first_block.setdefault(v, b)
+    start = params.N + params.head_len - 1
+    starts = [first_block.get(v, 0) * B + start for v in range(g.num_vertices)]
+    coloring, _analysis = _extract_grouping([states[i : i + params.L + 1] for i in starts],
+                                            g, params.L)
     if coloring.num_colors > params.K:
         raise ExtractionError(
             f"extraction found {coloring.num_colors} classes, above K = {params.K}"
@@ -419,7 +415,7 @@ def two_chain_dfa(g: Graph, params: ReductionParams, enc: Encoding) -> Dfa:
 
 
 def ratio_report(
-    g: Graph, heuristic_dfa: Dfa, params: ReductionParams, enc: Encoding
+    g: Graph, heuristic_dfa: Dfa | PartialDfa, params: ReductionParams, enc: Encoding
 ) -> RatioReport:
     """Relate a heuristic solver's output size to the chromatic number.
 

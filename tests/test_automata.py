@@ -11,6 +11,7 @@ from dfalab import (
     Alphabet,
     Dfa,
     DfaSample,
+    Graph,
     MachineSample,
     PartialDfa,
     PrefixCompleteness,
@@ -25,8 +26,10 @@ from dfalab import (
     make_encoding,
     prefix_completeness,
     prefix_tree_acceptor,
+    zhang_sample,
 )
 from dfalab import Coloring
+from dfalab.reductions import zhang_alphabet
 from dfalab.witnesses import binary_dfa_from_coloring, zhang_dfa_from_coloring
 
 BIN = Alphabet.binary()
@@ -167,6 +170,15 @@ class TestCompletion:
         total = w.completed()
         assert total.num_states == w.num_states
         assert is_consistent(total, s)
+
+    def test_a_string_falling_off_an_accepting_state_flips(self):
+        # consistent as given, since both vertex strings fall off the
+        # accepting initial state; completion loops there and accepts them
+        g = Graph.edgeless(2)
+        p = PartialDfa(1, zhang_alphabet(g), 0, ((None, None),), frozenset({0}))
+        s = zhang_sample(g)
+        assert is_consistent(p, s)
+        assert not is_consistent(p.completed(), s)
 
 
 class TestTransducers:

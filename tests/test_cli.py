@@ -178,6 +178,19 @@ class TestWitnessExtract:
         assert main(["extract", "--kind", kind, "--graph", k3_col, "--dfa", str(w), *meta]) == 2
         assert capsys.readouterr().err.startswith("error: alphabet mismatch")
 
+    def test_zhang_extract_takes_a_partial_dfa_as_it_is(self, tmp_path, capsys):
+        from dfalab import PartialDfa
+        from dfalab.formats import automaton_to_json
+        from dfalab.reductions import zhang_alphabet
+
+        # consistent only as given: completion would loop on the accepting
+        # initial state and accept the rejected vertex strings
+        alphabet = zhang_alphabet(Graph.edgeless(2))
+        w = tmp_path / "w.json"
+        w.write_text(automaton_to_json(PartialDfa(1, alphabet, 0, ((None, None),), frozenset({0}))))
+        assert main(["extract", "--kind", "zhang", "--graph", "edgeless2", "--dfa", str(w)]) == 0
+        assert "colors: 1 1\n" in capsys.readouterr().out
+
     def test_single_round_trip(self, k3_col, tmp_path, capsys):
         sample_path = tmp_path / "s.abb"
         main(["reduce", "single", "--graph", k3_col, "--K", "3", "--out", str(sample_path)])
@@ -374,14 +387,24 @@ MALFORMED_DOCUMENTS = [
 ]
 # lengths that int() would coerce: a float, a bool and a numeric string
 MALFORMED_LENGTHS = [{"L": 25.9}, {"head_len": True}, {"tail_len": "2"}]
+# k3's codes are 2 bits: a code with a digit other than 0/1, codes given as
+# lists of ints, and a head length the codes do not have
+MALFORMED_CODES = {
+    "vertex_codes-digit": {"vertex_codes": ["00", "02", "10"]},
+    "codes-int-lists": {"vertex_codes": [[0, 0], [0, 1], [1, 0]],
+                        "edge_codes": [[0, 0], [0, 1], [1, 0]]},
+    "head_len-3-2bit-codes": {"head_len": 3},
+}
 
 
 @pytest.mark.parametrize("command, target, patch",
-                         MALFORMED_DOCUMENTS + [("extract", "meta", p) for p in MALFORMED_LENGTHS],
+                         MALFORMED_DOCUMENTS + [("extract", "meta", p) for p in MALFORMED_LENGTHS]
+                         + [("extract", "meta", p) for p in MALFORMED_CODES.values()],
                          ids=[f"{c}-{t}-{''.join(p) if isinstance(p, dict) else 'array'}"
                               for c, t, p in MALFORMED_DOCUMENTS]
                          + [f"extract-meta-{k}-{type(v).__name__}"
-                            for p in MALFORMED_LENGTHS for k, v in p.items()])
+                            for p in MALFORMED_LENGTHS for k, v in p.items()]
+                         + [f"extract-meta-{name}" for name in MALFORMED_CODES])
 def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path, capsys):
     w, meta = tmp_path / "w.json", tmp_path / "b.abb.meta.json"
     main(["reduce", "binary", "--graph", k3_col, "--K", "3", "--out", str(tmp_path / "b.abb")])

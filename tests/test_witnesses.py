@@ -13,6 +13,7 @@ from dfalab import (
     ExtractionError,
     Graph,
     InconsistentDfaError,
+    PartialDfa,
     binary_dfa_from_coloring,
     binary_sample,
     chromatic_number,
@@ -34,7 +35,7 @@ from dfalab import (
     zhang_dfa_from_coloring,
     zhang_sample,
 )
-from dfalab.witnesses import _quotient
+from dfalab.witnesses import _extract_grouping, _quotient
 
 from conftest import suite_graphs
 
@@ -382,6 +383,63 @@ def test_round_trips_across_the_suite():
         assert bw.num_states < (k + 1) * params.L, name
         extracted, _ = coloring_from_binary_dfa(bw.completed(), g, params, enc)
         assert extracted.num_colors <= k, name
+
+
+class TestChainsOffTheReplay:
+    """Extractors read each vertex's chain off the replay, so they accept any
+    consistent automaton as given, partial or not."""
+
+    @staticmethod
+    def _seed5_head_edge():
+        # gnp6-seed5's vertex 0 is isolated, so no block of the single string
+        # reads its head code; return the forward witness at K = 3 and the
+        # 0-edge that only that code uses
+        g = dict(suite_graphs())["gnp6-seed5"]
+        params = default_params(g, 3)
+        enc = make_encoding(g, params)
+        w = single_dfa_from_coloring(g, oracle_coloring(g)[1], params, enc)
+        code = enc.vertex_codes[0]
+        source = w.walk(code[:-1], start=w.walk((0,) * params.N))
+        assert code[-1] == 0 and not any(0 in edge for edge in g.edges)
+        return g, params, enc, w, source
+
+    @pytest.mark.parametrize("target", ["self-loop", "missing"])
+    def test_an_isolated_vertex_joins_block_0(self, target):
+        g, params, enc, w, source = self._seed5_head_edge()
+        rows = [list(row) for row in w.transitions]
+        rows[source][0] = source if target == "self-loop" else None
+        m = (Dfa if target == "self-loop" else PartialDfa)(
+            w.num_states, w.alphabet, w.initial, tuple(map(tuple, rows)), w.accepting)
+        assert m.num_states <= params.N + (params.K + 1) * params.L
+        assert is_consistent(m, single_string(g, params, enc)[1])
+        coloring = coloring_from_single_dfa(m, g, params, enc)
+        assert is_proper_coloring(g, coloring) and coloring.num_colors <= params.K
+        assert coloring.colors[0] == coloring.colors[1]  # vertex 1 heads block 0
+
+    def test_a_revisiting_chain_is_rejected(self):
+        with pytest.raises(ExtractionError, match="revisit"):
+            _extract_grouping([[0, 1, 0]], Graph.edgeless(1), 2)
+
+    def test_classes_sharing_a_state_are_rejected(self):
+        g = Graph(2, frozenset({(0, 1)}))
+        with pytest.raises(ExtractionError, match="overlap"):
+            _extract_grouping([[0, 1, 2], [3, 1, 4]], g, 2)
+        coloring, analysis = _extract_grouping([[0, 1, 2], [3, 5, 4]], g, 2)
+        assert coloring.colors == (1, 2)
+        assert analysis.chain_states == ((0, 1, 2), (3, 5, 4))
+
+    @pytest.mark.parametrize("name,g", suite_graphs(), ids=[n for n, _ in suite_graphs()])
+    def test_partial_automata_extract_as_their_completions(self, name, g):
+        k, coloring = oracle_coloring(g)
+        params = default_params(g, k)
+        enc = make_encoding(g, params)
+        zw = zhang_dfa_from_coloring(g, coloring)
+        assert coloring_from_zhang_dfa(zw, g) == coloring_from_zhang_dfa(zw.completed(), g)
+        for m in (binary_dfa_from_coloring(g, coloring, params, enc),
+                  prefix_tree_acceptor(binary_sample(g, params, enc))):
+            assert isinstance(m, PartialDfa)
+            assert (coloring_from_binary_dfa(m, g, params, enc)
+                    == coloring_from_binary_dfa(m.completed(), g, params, enc))
 
 
 class TestQuotient:
