@@ -131,6 +131,8 @@ def _pick_coloring(args, g: Graph) -> tuple[int, Coloring]:
         return k, coloring
     if args.K is None:
         raise ValueError("need --K (or an explicit --coloring)")
+    if args.K < 1:
+        raise ValueError("K must be a positive integer")
     found = chromatic_number(g, upper_bound=args.K)
     if found is None:
         print(f"no {args.K}-coloring exists for this graph", file=sys.stderr)

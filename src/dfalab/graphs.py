@@ -103,41 +103,22 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges)
 
 
-def _greedy_bound(g: Graph, order: list[int], adj: list[list[int]]) -> tuple[int, list[int]]:
-    colors = [0] * g.num_vertices
-    used = 0
-    for v in order:
-        taken = {colors[u] for u in adj[v] if colors[u]}
-        c = 1
-        while c in taken:
-            c += 1
-        colors[v] = c
-        used = max(used, c)
-    return used, colors
-
-
 def chromatic_number(g: Graph, upper_bound: int | None = None) -> tuple[int, Coloring] | None:
     """Exact minimum color count with a proper witness coloring.
 
     Branch and bound over vertices in degree-descending order.  Symmetry is
     broken by fixing the first explored vertex to color 1 and only ever
-    introducing a new color as (current maximum + 1).  Returns None when an
-    upper_bound is given and every proper coloring needs more colors.
+    introducing a new color as (current maximum + 1).  The search starts from
+    the bound n + 1, or upper_bound + 1 when one is given, with no coloring
+    known; unbounded, its first descent never backtracks and ends on the greedy
+    coloring in that order.  Returns None only under an upper_bound, when every
+    proper coloring needs more than upper_bound colors.
     """
     n = g.num_vertices
     adj = adjacency(g)
-    if not g.edges:
-        witness = Coloring((1,) * n, 1)
-        return None if upper_bound is not None and upper_bound < 1 else (1, witness)
-
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    greedy_k, greedy_colors = _greedy_bound(g, order, adj)
-
-    best = greedy_k
-    best_colors: list[int] | None = greedy_colors
-    if upper_bound is not None and greedy_k > upper_bound:
-        best = upper_bound + 1
-        best_colors = None
+    best = (n if upper_bound is None else upper_bound) + 1
+    best_colors: list[int] = []
 
     colors = [0] * n
     # One frame per colored vertex, in search order: [vertex, colors used
@@ -169,7 +150,7 @@ def chromatic_number(g: Graph, upper_bound: int | None = None) -> tuple[int, Col
         else:
             break
 
-    if best_colors is None or (upper_bound is not None and best > upper_bound):
+    if not best_colors:
         return None
     return best, Coloring(tuple(best_colors), best)
 

@@ -69,6 +69,7 @@ class SolveRequest:
     def __post_init__(self) -> None:
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        _check_budget(self.time_budget)
 
 
 @dataclass
@@ -88,6 +89,12 @@ class SolveTimeoutError(RuntimeError):
 
 class _Timeout(Exception):
     pass
+
+
+def _check_budget(time_budget: float | None) -> None:
+    # NaN fails `> 0` too: a NaN deadline would never pass
+    if time_budget is not None and not time_budget > 0:
+        raise ValueError("time_budget must be a positive number of seconds")
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -436,10 +443,12 @@ def min_consistent(
     order and clique are built once; each m below the clique size is UNSAT
     with no search.  Raises BoundExceededError when every m up to the bound
     is UNSAT and SolveTimeoutError when the shared time budget runs out
-    first.
+    first; a time_budget that is not positive (NaN included) is a
+    ValueError, and inf means no deadline.
     """
     if upper_bound is not None and upper_bound < 1:
         raise ValueError("upper_bound must be at least 1")
+    _check_budget(time_budget)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _Pta(sample)
     if upper_bound is None:

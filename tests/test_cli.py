@@ -94,6 +94,24 @@ class TestSolve:
         main(["reduce", "zhang", "--graph", demo5_col, "--out", str(out)])
         assert main(["solve", str(out), "--max-m", "3", "--budget", "1e-9"]) == 3
 
+    @pytest.mark.parametrize("minimize", [[], ["--minimize"]])
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+    def test_a_budget_that_is_not_positive_is_usage_error(self, budget, minimize, k3_col, tmp_path,
+                                                          capsys):
+        out = tmp_path / "z.abb"
+        main(["reduce", "zhang", "--graph", k3_col, "--out", str(out)])
+        capsys.readouterr()
+        assert main(["solve", str(out), "--max-m", "4", f"--budget={budget}", *minimize]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: time_budget must be a positive number of seconds\n"
+
+    def test_an_infinite_budget_has_no_deadline(self, k3_col, tmp_path):
+        out = tmp_path / "z.abb"
+        main(["reduce", "zhang", "--graph", k3_col, "--out", str(out)])
+        assert main(["solve", str(out), "--max-m", "4", "--budget", "inf"]) == 0
+        assert main(["solve", str(out), "--max-m", "4", "--budget", "inf", "--minimize"]) == 0
+
     def test_minimize_unsat_through_bound(self, demo5_col, tmp_path, capsys):
         out = tmp_path / "z.abb"
         main(["reduce", "zhang", "--graph", demo5_col, "--out", str(out)])
@@ -129,6 +147,15 @@ class TestWitnessExtract:
     def test_uncolorable_graph_fails(self, tmp_path):
         assert main(["witness", "--kind", "zhang", "--graph", "k4",
                      "--K", "3", "--out", str(tmp_path / "w.json")]) == 1
+
+    @pytest.mark.parametrize("kind", ["zhang", "binary", "single"])
+    @pytest.mark.parametrize("K", ["0", "-1"])
+    def test_a_color_bound_below_one_is_usage_error(self, kind, K, k3_col, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        assert main(["witness", "--kind", kind, "--graph", k3_col, f"--K={K}", "--out", str(w)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: K must be a positive integer\n"
+        assert not w.exists()
 
     def test_binary_extract_uses_metadata(self, k3_col, tmp_path, capsys):
         sample_path = tmp_path / "b.abb"
@@ -264,6 +291,15 @@ class TestVerify:
         assert captured.out == plain.out
         assert plain.err == ""
         assert captured.err == "warning: --L/--N are ignored for the zhang reduction\n"
+
+    @pytest.mark.parametrize("kind", ["zhang", "binary"])
+    @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+    def test_a_budget_that_is_not_positive_is_usage_error(self, kind, budget, k3_col, capsys):
+        assert main(["verify", "--kind", kind, "--graph", k3_col, "--K", "3",
+                     f"--budget={budget}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget must be a positive number of seconds\n"
 
     def test_zhang_budget_timeout(self, demo5_col, capsys):
         assert main(["verify", "--kind", "zhang", "--graph", demo5_col,

@@ -4,6 +4,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfalab import (
     Coloring,
@@ -102,6 +104,39 @@ class TestChromaticNumber:
         assert chromatic_number(k4, upper_bound=3) is None
         found = chromatic_number(k4, upper_bound=4)
         assert found is not None and found[0] == 4
+
+    def test_search_improves_on_its_first_descent(self):
+        # degree order 0, 1, 3, 5, 2, 4: the first descent (the greedy
+        # coloring) gives vertex 5 a third color, yet the graph is bipartite
+        g = Graph.gnp(6, 0.3, seed=1)
+        for bound in (2, 3, None):
+            k, witness = chromatic_number(g, upper_bound=bound)
+            assert k == witness.num_colors == 2
+            assert is_proper_coloring(g, witness)
+        assert chromatic_number(g, upper_bound=1) is None
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_edgeless_needs_one_color(self, n):
+        g = Graph.edgeless(n)
+        for bound in (-1, 0):
+            assert chromatic_number(g, upper_bound=bound) is None
+        for bound in (1, 2, n + 1, None):
+            assert chromatic_number(g, upper_bound=bound) == (1, Coloring((1,) * n, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6))
+def test_upper_bound_matches_the_exhaustive_oracle(n, p, seed):
+    g = Graph.gnp(n, p, seed=seed)
+    chi = oracle_chromatic(g)
+    for bound in range(-1, n + 2):
+        found = chromatic_number(g, upper_bound=bound)
+        if bound < chi:
+            assert found is None
+        else:
+            k, witness = found
+            assert k == witness.num_colors == chi
+            assert is_proper_coloring(g, witness)
 
 
 class TestDimacs:

@@ -195,6 +195,22 @@ class TestMinConsistent:
         assert len({id(pta) for _, pta in calls}) == 1 and calls[0][1] is not None
 
 
+@pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
+def test_a_budget_that_is_not_positive_is_refused(budget, triangle):
+    # a NaN deadline never compares as passed, so it would switch the budget off
+    s = zhang_sample(triangle)
+    with pytest.raises(ValueError, match="time_budget must be a positive number of seconds"):
+        SolveRequest(s, 4, time_budget=budget)
+    with pytest.raises(ValueError, match="time_budget must be a positive number of seconds"):
+        min_consistent(s, 4, time_budget=budget)
+
+
+def test_an_infinite_budget_has_no_deadline(triangle):
+    s = zhang_sample(triangle)
+    assert exists_consistent(SolveRequest(s, 4, time_budget=float("inf"))).status is SolveStatus.SAT
+    assert min_consistent(s, 6, time_budget=float("inf"))[0] == 4
+
+
 def test_rpni_never_builds_the_search_plan(demo5, monkeypatch):
     def refuse(self, deadline):
         raise AssertionError("rpni asked for the exact search's order and clique")
