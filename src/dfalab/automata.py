@@ -5,6 +5,11 @@ transducers with a binary output alphabet (encoded as booleans, True
 meaning "+"), and the two sample representations used throughout:
 labeled string sets, stored as labeled prefix trees, and input/output runs.
 
+The four automaton types are one validated transition table (`_Machine`)
+with a different last field: accepting states for `Dfa` and `PartialDfa`
+(which share one `walk`), outputs for `MooreMachine` and `MealyMachine`.
+Only `PartialDfa` admits missing transitions.
+
 All values are frozen dataclasses (or read-only views of one) and every
 operation is a pure function of its inputs, so values can be shared freely
 between threads.
@@ -290,63 +295,72 @@ def reaches_cycle(start: int, successors: Callable[[int], Iterable[int]]) -> boo
     return False
 
 
-def _normalize_rows(transitions, num_states: int, size: int, partial: bool):
-    rows = tuple(tuple(row) for row in transitions)
-    if len(rows) != num_states:
-        raise ValueError(f"expected {num_states} transition rows, got {len(rows)}")
-    for q, row in enumerate(rows):
-        if len(row) != size:
-            raise ValueError(f"state {q}: expected {size} entries, got {len(row)}")
-        for t in row:
-            if t is None:
-                if not partial:
-                    raise ValueError(f"state {q} has a missing transition in a total DFA")
-                continue
-            if not 0 <= t < num_states:
-                raise ValueError(f"state {q} has transition target {t} out of range")
-    return rows
-
-
-def _check_states(num_states: int, initial: int, accepting: frozenset[int]) -> frozenset[int]:
-    if num_states < 1:
-        raise ValueError("automaton needs at least one state")
-    if not 0 <= initial < num_states:
-        raise ValueError(f"initial state {initial} out of range")
-    accepting = frozenset(accepting)
-    for q in accepting:
-        if not 0 <= q < num_states:
-            raise ValueError(f"accepting state {q} out of range")
-    return accepting
-
-
 @dataclass(frozen=True)
-class Dfa:
-    """Total DFA: transitions[state][symbol] is always a state index."""
+class _Machine:
+    """The transition table behind all four automaton types: each entry a
+    state index, or None (missing) where the class sets `_partial`.  The
+    rows are checked, then the state count and the initial state."""
 
     num_states: int
     alphabet: Alphabet
     initial: int
     transitions: tuple[tuple[int, ...], ...]
+
+    _partial = False
+
+    def __post_init__(self) -> None:
+        num_states, size, partial = self.num_states, self.alphabet.size, self._partial
+        rows = tuple(tuple(row) for row in self.transitions)
+        if len(rows) != num_states:
+            raise ValueError(f"expected {num_states} transition rows, got {len(rows)}")
+        for q, row in enumerate(rows):
+            if len(row) != size:
+                raise ValueError(f"state {q}: expected {size} entries, got {len(row)}")
+            for t in row:
+                if t is None:
+                    if not partial:
+                        raise ValueError(f"state {q} has a missing transition in a total DFA")
+                elif not 0 <= t < num_states:
+                    raise ValueError(f"state {q} has transition target {t} out of range")
+        object.__setattr__(self, "transitions", rows)
+        if num_states < 1:
+            raise ValueError("automaton needs at least one state")
+        if not 0 <= self.initial < num_states:
+            raise ValueError(f"initial state {self.initial} out of range")
+
+
+@dataclass(frozen=True)
+class _Acceptor(_Machine):
+    """A table with accepting states; a run that falls off rejects."""
+
     accepting: frozenset[int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "transitions",
-            _normalize_rows(self.transitions, self.num_states, self.alphabet.size, partial=False),
-        )
-        object.__setattr__(self, "accepting", _check_states(self.num_states, self.initial, self.accepting))
+        super().__post_init__()
+        accepting = frozenset(self.accepting)
+        for q in accepting:
+            if not 0 <= q < self.num_states:
+                raise ValueError(f"accepting state {q} out of range")
+        object.__setattr__(self, "accepting", accepting)
 
-    def walk(self, word: Iterable[int], start: int | None = None) -> int:
-        """Extended transition: the state reached from `start` on `word`."""
+    def walk(self, word: Iterable[int], start: int | None = None) -> int | None:
+        """Extended transition: the state reached from `start` on `word`,
+        or None once the run falls off a missing transition."""
         state = self.initial if start is None else start
         trans = self.transitions
         for a in self.alphabet.check_word(word):
+            if state is None:
+                return None
             state = trans[state][a]
         return state
 
     def accepts(self, word: Iterable[int]) -> bool:
         return self.walk(word) in self.accepting
+
+
+@dataclass(frozen=True)
+class Dfa(_Acceptor):
+    """Total DFA: transitions[state][symbol] is always a state index."""
 
     def to_moore(self) -> "MooreMachine":
         """Same graph; each state outputs whether it is accepting."""
@@ -362,39 +376,15 @@ class Dfa:
 
 
 @dataclass(frozen=True)
-class PartialDfa:
+class PartialDfa(_Acceptor):
     """DFA whose transition table may have missing (None) entries.
 
     A run that needs a missing transition falls off the automaton; for
     consistency purposes such a string counts as rejected.
     """
 
-    num_states: int
-    alphabet: Alphabet
-    initial: int
     transitions: tuple[tuple[int | None, ...], ...]
-    accepting: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "transitions",
-            _normalize_rows(self.transitions, self.num_states, self.alphabet.size, partial=True),
-        )
-        object.__setattr__(self, "accepting", _check_states(self.num_states, self.initial, self.accepting))
-
-    def walk(self, word: Iterable[int], start: int | None = None) -> int | None:
-        state = self.initial if start is None else start
-        trans = self.transitions
-        for a in self.alphabet.check_word(word):
-            if state is None:
-                return None
-            state = trans[state][a]
-        return state
-
-    def accepts(self, word: Iterable[int]) -> bool:
-        state = self.walk(word)
-        return state is not None and state in self.accepting
+    _partial = True
 
     def is_acyclic(self) -> bool:
         """True iff no directed cycle is reachable from the initial state."""
@@ -418,22 +408,13 @@ class PartialDfa:
 
 
 @dataclass(frozen=True)
-class MooreMachine:
+class MooreMachine(_Machine):
     """Transducer emitting one output per state entered; M(empty) = empty."""
 
-    num_states: int
-    alphabet: Alphabet
-    initial: int
-    transitions: tuple[tuple[int, ...], ...]
     output: tuple[bool, ...]  # per state; True = "+"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "transitions",
-            _normalize_rows(self.transitions, self.num_states, self.alphabet.size, partial=False),
-        )
-        _check_states(self.num_states, self.initial, frozenset())
+        super().__post_init__()
         output = tuple(bool(b) for b in self.output)
         object.__setattr__(self, "output", output)
         if len(output) != self.num_states:
@@ -450,22 +431,13 @@ class MooreMachine:
 
 
 @dataclass(frozen=True)
-class MealyMachine:
+class MealyMachine(_Machine):
     """Transducer emitting one output per transition taken; M(empty) = empty."""
 
-    num_states: int
-    alphabet: Alphabet
-    initial: int
-    transitions: tuple[tuple[int, ...], ...]
     output: tuple[tuple[bool, ...], ...]  # per (state, symbol); True = "+"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "transitions",
-            _normalize_rows(self.transitions, self.num_states, self.alphabet.size, partial=False),
-        )
-        _check_states(self.num_states, self.initial, frozenset())
+        super().__post_init__()
         output = tuple(tuple(bool(b) for b in row) for row in self.output)
         object.__setattr__(self, "output", output)
         if len(output) != self.num_states or any(len(row) != self.alphabet.size for row in output):

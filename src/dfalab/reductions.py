@@ -204,44 +204,26 @@ def binary_sample(g: Graph, params: ReductionParams, enc: Encoding) -> DfaSample
     return DfaSample.from_runs(Alphabet.binary(), binary_runs(g, params, enc), empty=False)
 
 
-def _block_labels(params: ReductionParams, positive_end: bool) -> list[bool]:
-    """Per-position labels of one 0^N + head + 0^L + tail block.
-
-    Positions 1..N-1 (inside the zero run) are positive, position N is
-    negative, the body end is positive, and the block end carries the sign
-    of the embedded string.  Everything else is a proper fragment of a
-    head, body, or tail and is negative.
-    """
-    return (
-        [True] * (params.N - 1)
-        + [False]
-        + [False] * params.head_len
-        + [False] * (params.L - 1)
-        + [True]
-        + [False] * (params.tail_len - 1)
-        + [positive_end]
-    )
-
-
 def single_run(g: Graph, params: ReductionParams, enc: Encoding) -> Run:
-    """The concatenated string and its per-position labels.
+    """The concatenated string and its per-position labels: each full
+    string of `binary_runs`, in incident-pair order, behind 0^N.
 
-    Light form of single_string: for a fully prefix-closed single-string
-    sample, the label of the length-k prefix is labels[k - 1] (the empty
-    prefix is negative), so consistency can be decided by one walk along
-    the string.
+    Inside a block's zero run positions 1..N-1 are positive and position N
+    is negative; the embedded string keeps its binary labels.  For the
+    fully prefix-closed single-string sample, the label of the length-k
+    prefix is labels[k - 1] (the empty prefix is negative), so consistency
+    can be decided by one walk along the string.
     """
-    pairs = incident_pairs(g)
-    if not pairs:
+    full = binary_runs(g, params, enc)[g.num_vertices:]
+    if not full:
         raise ValueError("the single-string instance needs a graph with at least one edge")
-    body = (0,) * params.L
     zeros = (0,) * params.N
-    patterns = {end: _block_labels(params, end) for end in (False, True)}
+    zero_labels = (True,) * (params.N - 1) + (False,)
     symbols: list[int] = []
     labels: list[bool] = []
-    for v, rank, (i, j) in pairs:
-        symbols.extend(zeros + enc.vertex_codes[v] + body + enc.edge_codes[rank])
-        labels.extend(patterns[v == i])
+    for word, out in full:
+        symbols.extend(zeros + word)
+        labels.extend(zero_labels + out)
     return tuple(symbols), tuple(labels)
 
 

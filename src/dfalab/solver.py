@@ -291,9 +291,20 @@ class _MergeSearch:
             if relabeled:
                 self.label[kept] = 0  # a kept root takes a label only when it had none
 
-    def quotient_acyclic(self) -> bool:
+    def quotient_acyclic(self, kept: int) -> bool:
+        """Whether the quotient is still acyclic after a successful fold
+        that kept class `kept`, walking only from `kept`.
+
+        The quotient was acyclic before the fold: the tree is, each earlier
+        fold was checked when it was made, and undo restores.  Every class the closure
+        merged is reachable from `kept`, since each queued pair is two
+        successors, on one symbol, of a class already merged, and every
+        transition the fold added leaves a merged class.  So every new
+        cycle is reachable from `kept`, and the walk from the root would
+        give the same verdict.
+        """
         find, trans = self.find, self.trans
-        return not reaches_cycle(find(0), lambda c: (find(t) for t in trans[c].values()))
+        return not reaches_cycle(kept, lambda c: (find(t) for t in trans[c].values()))
 
     def materialize(self, alphabet) -> PartialDfa:
         roots: list[int] = []
@@ -365,7 +376,7 @@ class _MergeSearch:
                 for red in self.candidates(row, first):
                     if row & members.get(red, 0):
                         continue
-                    if self.fold(red, node) and (not self.require_acyclic or self.quotient_acyclic()):
+                    if self.fold(red, node) and (not self.require_acyclic or self.quotient_acyclic(red)):
                         taken = rank[red] + 1
                         break
                     self.undo(mark)

@@ -391,10 +391,11 @@ def two_chain_dfa(g: Graph, params: ReductionParams, enc: Encoding) -> Dfa:
 
     signs = [v == i for v, _rank, (i, _j) in pairs]
     next_signs = signs[1:] + [True]  # last block exits arbitrarily; no input remains
-    # position p of a block sits on chain index p-1: accepting inside the
-    # leading zero run (except its end) and at the body end
+    run = single_run(g, params, enc)
+    # position p of a block sits on chain index p-1, which accepts as the
+    # first block's length-p prefix does, up to the body end
     end = params.N + params.head_len + params.L - 1
-    accept = [idx <= params.N - 2 or idx == end for idx in range(end + 1)]
+    accept = run[1][: end + 1]
     runs = [[(None, (), False), (0, (signs[0], 0), accept[0])]]
     for sign in (True, False):
         for a in (0, 1):
@@ -405,8 +406,7 @@ def two_chain_dfa(g: Graph, params: ReductionParams, enc: Encoding) -> Dfa:
         runs.append([(None, (sign, end), True), *_spell(sign, code, ("connector", sign, nxt), sign),
                      (0, (nxt, 0), accept[0])])
     dfa = _quotient(Alphabet.binary(), runs).completed()
-    _replay(dfa, Alphabet.binary(), [single_run(g, params, enc)], False,
-            "two-chain construction self-check")
+    _replay(dfa, Alphabet.binary(), [run], False, "two-chain construction self-check")
     return dfa
 
 

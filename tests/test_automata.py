@@ -13,6 +13,8 @@ from dfalab import (
     DfaSample,
     Graph,
     MachineSample,
+    MealyMachine,
+    MooreMachine,
     PartialDfa,
     PrefixCompleteness,
     SampleError,
@@ -217,6 +219,101 @@ class TestTransducers:
         for _ in range(100):
             word = tuple(rng.randint(0, 1) for _ in range(rng.randint(0, 80)))
             assert moore.outputs(word) == mealy.outputs(word)
+
+
+TABLE_TYPES = [Dfa, PartialDfa, MooreMachine, MealyMachine]
+ACCEPTORS = [Dfa, PartialDfa]
+
+
+def table(cls, num_states, initial, rows, last=None):
+    """A `cls` over the binary alphabet; `last`, its fifth field, defaults
+    to a legal one for `num_states` states."""
+    if last is None:
+        last = {Dfa: frozenset(), PartialDfa: frozenset(),
+                MooreMachine: (False,) * num_states,
+                MealyMachine: ((False, False),) * num_states}[cls]
+    return cls(num_states, BIN, initial, rows, last)
+
+
+def by_name(cls) -> str:
+    return cls.__name__
+
+
+class TestTableChecks:
+    @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
+    def test_rows_and_targets(self, cls):
+        with pytest.raises(ValueError, match=r"^expected 2 transition rows, got 1$"):
+            table(cls, 2, 0, ((0, 0),))
+        with pytest.raises(ValueError, match=r"^state 1: expected 2 entries, got 3$"):
+            table(cls, 2, 0, ((0, 0), (0, 1, 1)))
+        with pytest.raises(ValueError, match=r"^state 0 has transition target 2 out of range$"):
+            table(cls, 2, 0, ((0, 2), (0, 0)))
+        with pytest.raises(ValueError, match=r"^state 1 has transition target -1 out of range$"):
+            table(cls, 2, 0, ((0, 0), (-1, 0)))
+
+    @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
+    def test_missing_entries_only_in_a_partial_dfa(self, cls):
+        if cls is PartialDfa:
+            assert table(cls, 2, 0, ((1, None), (None, None))).transitions == ((1, None), (None, None))
+        else:
+            with pytest.raises(ValueError, match=r"^state 1 has a missing transition in a total DFA$"):
+                table(cls, 2, 0, ((1, 0), (None, 0)))
+
+    @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
+    def test_states(self, cls):
+        with pytest.raises(ValueError, match=r"^automaton needs at least one state$"):
+            table(cls, 0, 0, ())
+        for initial in (1, -1):
+            with pytest.raises(ValueError, match=rf"^initial state {initial} out of range$"):
+                table(cls, 1, initial, ((0, 0),))
+
+    @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
+    def test_checks_run_rows_then_states_then_the_last_field(self, cls):
+        bad_last = frozenset({3}) if cls in ACCEPTORS else ()
+        with pytest.raises(ValueError, match=r"^state 0 has transition target 3 out of range$"):
+            table(cls, 1, 5, ((0, 3),), bad_last)
+        with pytest.raises(ValueError, match=r"^initial state 5 out of range$"):
+            table(cls, 1, 5, ((0, 0),), bad_last)
+
+    @pytest.mark.parametrize("cls", ACCEPTORS, ids=by_name)
+    def test_accepting_out_of_range(self, cls):
+        for q in (1, -1):
+            with pytest.raises(ValueError, match=rf"^accepting state {q} out of range$"):
+                table(cls, 1, 0, ((0, 0),), frozenset({0, q}))
+
+    def test_output_lengths(self):
+        with pytest.raises(ValueError, match=r"^need one output per state$"):
+            table(MooreMachine, 2, 0, ((0, 1), (1, 0)), (True,))
+        for output in (((True, False),), ((True, False), (True,))):
+            with pytest.raises(ValueError, match=r"^need one output per \(state, symbol\)$"):
+                table(MealyMachine, 2, 0, ((0, 1), (1, 0)), output)
+
+    @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
+    def test_fields_are_normalized(self, cls):
+        given, normal = {Dfa: ({0}, frozenset({0})), PartialDfa: ({0}, frozenset({0})),
+                         MooreMachine: ([1], (True,)),
+                         MealyMachine: ([[1, 0]], ((True, False),))}[cls]
+        m = table(cls, 1, 0, [[0, 0]], given)
+        assert repr(m.transitions) == "((0, 0),)"
+        assert repr(m.accepting if cls in ACCEPTORS else m.output) == repr(normal)
+        assert m == table(cls, 1, 0, ((0, 0),), normal)
+        assert hash(m) == hash(table(cls, 1, 0, ((0, 0),), normal))
+
+    def test_reprs_and_methods(self):
+        head = "num_states=1, alphabet=Alphabet(size=2, names=('0', '1')), initial=0, transitions=((0, 0),)"
+        assert repr(table(Dfa, 1, 0, ((0, 0),), frozenset({0}))) == f"Dfa({head}, accepting=frozenset({{0}}))"
+        assert repr(table(PartialDfa, 1, 0, ((0, 0),))) == f"PartialDfa({head}, accepting=frozenset())"
+        assert repr(table(MooreMachine, 1, 0, ((0, 0),))) == f"MooreMachine({head}, output=(False,))"
+        assert repr(table(MealyMachine, 1, 0, ((0, 0),))) == f"MealyMachine({head}, output=((False, False),))"
+        for cls in (MooreMachine, MealyMachine):
+            assert not hasattr(cls, "walk") and not hasattr(cls, "accepts")
+
+    def test_dfa_and_partial_dfa_are_unrelated(self):
+        dfa = table(Dfa, 1, 0, ((0, 0),))
+        partial = table(PartialDfa, 1, 0, ((0, 0),))
+        assert not isinstance(dfa, PartialDfa)
+        assert not isinstance(partial, Dfa)
+        assert dfa != partial
 
 
 class TestSampleConversions:

@@ -36,6 +36,7 @@ from dfalab import (
 )
 
 from dfalab import solver
+from dfalab.automata import reaches_cycle
 from dfalab.formats import automaton_to_json
 from dfalab.solver import _MergeSearch, _Pta
 
@@ -503,6 +504,26 @@ def test_conflict_matches_its_definition(s, rng):
 @given(ternary_words, st.randoms(use_true_random=False))
 def test_conflict_matches_its_definition_on_three_symbols(s, rng):
     _check_conflict_matches_its_definition(s, rng)
+
+
+def _root_walk(search: _MergeSearch, kept: int) -> bool:
+    """The reference acyclic check: the whole quotient, walked from the root."""
+    find, trans = search.find, search.trans
+    return not reaches_cycle(find(0), lambda c: (find(t) for t in trans[c].values()))
+
+
+def _acyclic_decisions(s: DfaSample) -> list[tuple]:
+    outs = [exists_consistent(SolveRequest(s, m, require_acyclic=True)) for m in range(1, 7)]
+    return [(o.status, o.states_explored, o.witness) for o in outs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_acyclic_check_from_the_kept_class_matches_the_root_walk(s):
+    decided = _acyclic_decisions(s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MergeSearch, "quotient_acyclic", _root_walk)
+        assert _acyclic_decisions(s) == decided
 
 
 def _unbounded_search(pta: _Pta) -> _MergeSearch:
