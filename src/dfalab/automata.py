@@ -298,8 +298,9 @@ def reaches_cycle(start: int, successors: Callable[[int], Iterable[int]]) -> boo
 @dataclass(frozen=True)
 class _Machine:
     """The transition table behind all four automaton types: each entry a
-    state index, or None (missing) where the class sets `_partial`.  The
-    rows are checked, then the state count and the initial state."""
+    state index, or None (missing) where the class sets `_partial`; a None
+    elsewhere is refused naming the class's `_kind`.  The rows are checked,
+    then the state count and the initial state."""
 
     num_states: int
     alphabet: Alphabet
@@ -307,6 +308,7 @@ class _Machine:
     transitions: tuple[tuple[int, ...], ...]
 
     _partial = False
+    _kind = "total DFA"
 
     def __post_init__(self) -> None:
         num_states, size, partial = self.num_states, self.alphabet.size, self._partial
@@ -319,7 +321,7 @@ class _Machine:
             for t in row:
                 if t is None:
                     if not partial:
-                        raise ValueError(f"state {q} has a missing transition in a total DFA")
+                        raise ValueError(f"state {q} has a missing transition in a {self._kind}")
                 elif not 0 <= t < num_states:
                     raise ValueError(f"state {q} has transition target {t} out of range")
         object.__setattr__(self, "transitions", rows)
@@ -346,6 +348,8 @@ class _Acceptor(_Machine):
     def walk(self, word: Iterable[int], start: int | None = None) -> int | None:
         """Extended transition: the state reached from `start` on `word`,
         or None once the run falls off a missing transition."""
+        if start is not None and not 0 <= start < self.num_states:
+            raise ValueError(f"start state {start} out of range")
         state = self.initial if start is None else start
         trans = self.transitions
         for a in self.alphabet.check_word(word):
@@ -412,6 +416,7 @@ class MooreMachine(_Machine):
     """Transducer emitting one output per state entered; M(empty) = empty."""
 
     output: tuple[bool, ...]  # per state; True = "+"
+    _kind = "Moore machine"
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -435,6 +440,7 @@ class MealyMachine(_Machine):
     """Transducer emitting one output per transition taken; M(empty) = empty."""
 
     output: tuple[tuple[bool, ...], ...]  # per (state, symbol); True = "+"
+    _kind = "Mealy machine"
 
     def __post_init__(self) -> None:
         super().__post_init__()

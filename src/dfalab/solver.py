@@ -18,19 +18,18 @@ sequential and therefore deterministic, and it keeps its choices on an
 explicit stack, so tree depth is not bounded by the interpreter's
 recursion limit.
 
-One class holds the search: the classes as a union-find over tree nodes
-with a label and transitions per class, the committed classes, and an
-undo trail of one record per merge; backtracking pops records to a mark.
+One class holds the search: a union-find over tree nodes with a label
+and transitions per class, the committed classes, and an undo trail of
+one record per merge; backtracking pops records to a mark.
 
 The conflict relation is computed when the tree is wrapped, as one int
 per node whose bit v says whether that node conflicts with node v: n^2
-bits for an n-node tree, from one pass up from the leaves.  A node that
-conflicts with any member of a class cannot join it in a consistent
-quotient, so that fold would fail; it is skipped (and still counted in
-`states_explored`).  The search reads the candidate classes for a node
-off one mask, the committed roots minus the node's row, and then drops
-those with another member in the row: each class of two or more nodes
-keeps its members as a bitset, kept up to date by every merge and undo.
+bits for an n-node tree, from one pass up from the leaves.  Each class
+keeps a class row, the OR of its nodes' rows.  A fold of two classes
+with a conflicting pair of nodes must fail, so a node's candidate
+classes are the committed roots minus its class row (one mask), less
+those whose class row holds the node; a class left out still counts in
+`states_explored`.
 
 RPNI is the same search's first descent: plain breadth-first order, no
 clique and no state bound below the tree size, so it never backtracks and
@@ -74,6 +73,12 @@ class SolveRequest:
 
 @dataclass
 class SolveOutcome:
+    """`states_explored` counts the merge search's steps: one per class a
+    node passed at its frame, in creation order, whether it folded into the
+    class, skipped it by its class row or failed the fold, and one per class
+    opened.  So a dead end, where no class left admits the node and m are
+    open, adds every class not yet passed.  A clique-bound UNSAT takes 0."""
+
     status: SolveStatus
     witness: Dfa | PartialDfa | None
     states_explored: int
@@ -191,30 +196,28 @@ def _conflict_rows(children, labels) -> list[int]:
 class _MergeSearch:
     """The merge search: union-find classes over prefix-tree nodes, the
     committed classes and the undo trail, one (dropped root, kept root,
-    symbols the kept root gained, whether it took the dropped root's label)
-    record per merge.
+    symbols the kept root gained, whether it took the dropped root's label,
+    the kept root's class row before) record per merge.
 
     The committed roots are `rank` (root -> creation index, in creation
-    order, the clique first) and `redmask`, the same roots as a bitset.  A
-    class of two or more nodes keeps its nodes as a bitset in `members`
-    under its root; a singleton has no entry.  A merge ORs the dropped
-    class's nodes into the kept root's, and its undo XORs them out again,
-    which is exact because classes are disjoint.  The dropped root's entry
-    is left as it was, since nothing changes a class that is not a root.
+    order, the clique first) and `redmask`, the same roots as a bitset.
+    `crow[root]` is the OR of the conflict rows of the class's nodes, at
+    first the tree's rows (the ints shared).  A merge ORs the dropped
+    root's into the kept root's; its undo puts the old value back, since an
+    OR cannot be taken out.  Nothing reads `crow` at a root once dropped.
     """
 
     def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
                  require_acyclic: bool, deadline: float | None):
-        self.rows = pta.rows
+        self.crow = list(pta.rows)
         self.rep = list(range(len(pta.children)))
         self.label = list(pta.labels)
         self.trans = [dict(ch) for ch in pta.children]
-        self.members: dict[int, int] = {}
         self.rank: dict[int, int] = {}
         self.redmask = 0
         for node in clique:  # the first classes, fixed
             self.commit(node)
-        self.trail: list[tuple[int, int, list[int], bool]] = []
+        self.trail: list[tuple[int, int, list[int], bool, int]] = []
         self.order = [node for node in order if node not in self.rank]
         self.max_states = max_states
         self.require_acyclic = require_acyclic
@@ -244,7 +247,7 @@ class _MergeSearch:
         identify two distinct committed classes; the caller must undo to
         its trail mark either way.
         """
-        rep, label, trans, rank, members = self.rep, self.label, self.trans, self.rank, self.members
+        rep, label, trans, rank, crow = self.rep, self.label, self.trans, self.rank, self.crow
         queue = [(keep, drop)]
         while queue:
             x, y = queue.pop()
@@ -260,7 +263,8 @@ class _MergeSearch:
             if la and lb and la != lb:
                 return False
             rep[y] = x
-            members[x] = members.get(x, 1 << x) | members.get(y, 1 << y)
+            old = crow[x]
+            crow[x] = old | crow[y]
             relabeled = not la  # then x takes y's label, which may be 0 too
             if relabeled:
                 label[x] = lb
@@ -273,19 +277,14 @@ class _MergeSearch:
                     added.append(sym)
                 else:
                     queue.append((cur, target))
-            self.trail.append((y, x, added, relabeled))
+            self.trail.append((y, x, added, relabeled, old))
         return True
 
     def undo(self, mark: int) -> None:
-        members = self.members
         while len(self.trail) > mark:
-            dropped, kept, added, relabeled = self.trail.pop()
+            dropped, kept, added, relabeled, old = self.trail.pop()
             self.rep[dropped] = dropped
-            rest = members[kept] ^ members.get(dropped, 1 << dropped)
-            if rest & (rest - 1):
-                members[kept] = rest
-            else:
-                del members[kept]  # a singleton again
+            self.crow[kept] = old
             for sym in added:
                 del self.trans[kept][sym]
             if relabeled:
@@ -296,12 +295,11 @@ class _MergeSearch:
         that kept class `kept`, walking only from `kept`.
 
         The quotient was acyclic before the fold: the tree is, each earlier
-        fold was checked when it was made, and undo restores.  Every class the closure
-        merged is reachable from `kept`, since each queued pair is two
-        successors, on one symbol, of a class already merged, and every
+        fold was checked when made, and undo restores.  Every class the
+        closure merged is reachable from `kept`, since each queued pair is
+        two successors, on one symbol, of a class already merged, and every
         transition the fold added leaves a merged class.  So every new
-        cycle is reachable from `kept`, and the walk from the root would
-        give the same verdict.
+        cycle is reachable from `kept`: a walk from the root agrees.
         """
         find, trans = self.find, self.trans
         return not reaches_cycle(kept, lambda c: (find(t) for t in trans[c].values()))
@@ -325,8 +323,8 @@ class _MergeSearch:
         return PartialDfa(len(roots), alphabet, index[self.find(0)], tuple(rows), accepting)
 
     def candidates(self, row: int, first: int) -> list[int]:
-        """The committed roots of rank `first` or more that the node with
-        conflict row `row` does not conflict with, in creation order."""
+        """The committed roots of rank `first` or more outside `row`, in
+        creation order."""
         rank = self.rank
         found = []
         rest = self.redmask & ~row
@@ -347,12 +345,12 @@ class _MergeSearch:
         a stack (opened by commit, closed by uncommit on backtrack), so a
         frame keeps only their count: while it is on top, its classes are
         the committed roots of rank below that count.  Clique nodes are
-        classes from the start and get no frame.  A class the node conflicts
-        with, at its root (read off `redmask` in one step) or at any other
-        member (its `members` bitset), is counted as tried but never folded:
-        the fold would fail.
+        classes from the start and get no frame.  A class is counted as
+        tried but never folded, since the fold would fail, when its root is
+        in the node's class row (one mask against `redmask`) or the node is
+        in its class row.
         """
-        order, rows, rank, members, trail = self.order, self.rows, self.rank, self.members, self.trail
+        order, crow, rank, trail = self.order, self.crow, self.rank, self.trail
         frames: list[list[int]] = []  # [order index, node, class count, choices taken, trail mark]
         idx = 0
         while True:
@@ -372,9 +370,8 @@ class _MergeSearch:
                     continue
                 self.undo(mark)
                 first = taken
-                row = rows[node]
-                for red in self.candidates(row, first):
-                    if row & members.get(red, 0):
+                for red in self.candidates(crow[node], first):
+                    if crow[red] >> node & 1:
                         continue
                     if self.fold(red, node) and (not self.require_acyclic or self.quotient_acyclic(red)):
                         taken = rank[red] + 1
@@ -412,6 +409,9 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
     witness realizes every sample string.  In acyclic mode this is part of
     the contract: a partial automaton that lets some negative strings fall
     off early is not considered.
+
+    `states_explored` counts classes passed (folded, skipped or failed) or
+    opened, a dead end adding all not yet passed, as `SolveOutcome` says.
 
     `_pta` lets `min_consistent` share one prefix tree, with its conflict
     rows, order and clique, between the state bounds it decides.
@@ -536,10 +536,9 @@ def rpni(sample: DfaSample) -> Dfa:
 
     This is the exact search's first descent over breadth-first order with
     no clique and the tree size as state bound: that bound never binds, so
-    the search never backtracks.  Like every fold of the search, a fold
-    into a class with a member the node conflicts with is skipped, which
-    leaves the result unchanged: the prefix tree's conflict rows (n^2 bits
-    for n tree nodes) show that it must fail.
+    the search never backtracks.  Like every fold of the search, one that
+    the class rows (ORs of the tree's conflict rows, n^2 bits for n tree
+    nodes) show must fail is skipped, which leaves the result unchanged.
 
     The output is completed to a total DFA; it is always consistent and
     never larger than the prefix tree.

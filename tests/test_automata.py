@@ -256,7 +256,8 @@ class TestTableChecks:
         if cls is PartialDfa:
             assert table(cls, 2, 0, ((1, None), (None, None))).transitions == ((1, None), (None, None))
         else:
-            with pytest.raises(ValueError, match=r"^state 1 has a missing transition in a total DFA$"):
+            kind = {Dfa: "total DFA", MooreMachine: "Moore machine", MealyMachine: "Mealy machine"}[cls]
+            with pytest.raises(ValueError, match=rf"^state 1 has a missing transition in a {kind}$"):
                 table(cls, 2, 0, ((1, 0), (None, 0)))
 
     @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
@@ -307,6 +308,15 @@ class TestTableChecks:
         assert repr(table(MealyMachine, 1, 0, ((0, 0),))) == f"MealyMachine({head}, output=((False, False),))"
         for cls in (MooreMachine, MealyMachine):
             assert not hasattr(cls, "walk") and not hasattr(cls, "accepts")
+
+    @pytest.mark.parametrize("cls", ACCEPTORS, ids=by_name)
+    def test_walk_refuses_a_start_that_is_not_a_state(self, cls):
+        one = table(cls, 1, 0, ((0, 0),))
+        for start in (7, 1, -1):
+            for word in ((), (0,)):
+                with pytest.raises(ValueError, match=rf"^start state {start} out of range$"):
+                    one.walk(word, start)
+        assert one.walk((0, 1), 0) == 0
 
     def test_dfa_and_partial_dfa_are_unrelated(self):
         dfa = table(Dfa, 1, 0, ((0, 0),))

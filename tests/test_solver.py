@@ -1,8 +1,10 @@
 """Exact search, brute-force oracle agreement, RPNI baseline, acyclic mode."""
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import operator
 import random
 import tracemalloc
 
@@ -544,9 +546,9 @@ def test_conflicting_nodes_never_fold(s):
 
 def _classes(search: _MergeSearch):
     """The union-find, the labels, every transition dict in insertion order,
-    and the member bitsets."""
+    and the class rows."""
     return (list(search.rep), list(search.label), [list(t.items()) for t in search.trans],
-            dict(search.members))
+            list(search.crow))
 
 
 @settings(max_examples=150, deadline=None)
@@ -572,25 +574,29 @@ def test_undo_restores_the_classes_at_its_mark(s, data):
 
 @settings(max_examples=150, deadline=None)
 @given(labeled_words(), st.data())
-def test_a_node_conflicting_with_a_member_never_folds_into_its_class(s, data):
+def test_a_class_row_is_its_members_or_and_blocks_the_folds_it_meets(s, data):
     pta = _Pta(s)
     n = len(pta.labels)
     nodes = st.integers(0, n - 1)
     search = _unbounded_search(pta)
+    marks = []
     for keep, drop in data.draw(st.lists(st.tuples(nodes, nodes), max_size=8)):
-        mark = len(search.trail)
+        marks.append(len(search.trail))
         if not search.fold(keep, drop):
-            search.undo(mark)
-    roots = {search.find(v) for v in range(n)}
-    for root in roots:  # a class's bitset holds exactly its nodes; singletons have none
-        nodes_in = [v for v in range(n) if search.find(v) == root]
-        assert search.members.get(root, 1 << root) == sum(1 << v for v in nodes_in)
-        assert (root in search.members) == (len(nodes_in) > 1)
-    for u in range(n):
-        for root in roots - {search.find(u)}:
-            if pta.rows[u] & search.members.get(root, 1 << root):
+            search.undo(marks.pop())
+        elif data.draw(st.booleans()):  # undo a successful fold, or several
+            search.undo(marks[data.draw(st.integers(0, len(marks) - 1))])
+            marks = [m for m in marks if m < len(search.trail)]
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(search.find(v), []).append(v)
+    for root, nodes_in in classes.items():  # a class row is the OR of its nodes' rows
+        assert search.crow[root] == functools.reduce(operator.or_, (pta.rows[v] for v in nodes_in))
+    for a in classes:
+        for b, nodes_in in classes.items():
+            if a != b and any(search.crow[a] >> v & 1 for v in nodes_in):
                 mark = len(search.trail)
-                assert not search.fold(root, u), (u, root)
+                assert not search.fold(a, b), (a, b)
                 search.undo(mark)
 
 
