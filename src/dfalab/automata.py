@@ -16,7 +16,7 @@ between threads.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Set
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -273,28 +273,6 @@ class DfaSample:
         return hash((self.alphabet, self.labels))
 
 
-def reaches_cycle(start: int, successors: Callable[[int], Iterable[int]]) -> bool:
-    """Whether a cycle of the graph `successors` describes is reachable
-    from `start`: depth-first search on an explicit stack."""
-    GRAY, BLACK = 1, 2
-    color = {start: GRAY}
-    stack = [(start, iter(successors(start)))]  # (node, its successors not yet tried)
-    while stack:
-        node, pending = stack[-1]
-        for t in pending:
-            c = color.get(t)
-            if c == GRAY:
-                return True
-            if c is None:
-                color[t] = GRAY
-                stack.append((t, iter(successors(t))))
-                break
-        else:
-            color[node] = BLACK
-            stack.pop()
-    return False
-
-
 @dataclass(frozen=True)
 class _Machine:
     """The transition table behind all four automaton types: each entry a
@@ -391,9 +369,26 @@ class PartialDfa(_Acceptor):
     _partial = True
 
     def is_acyclic(self) -> bool:
-        """True iff no directed cycle is reachable from the initial state."""
+        """True iff no directed cycle is reachable from the initial state:
+        depth-first search on an explicit stack."""
+        GRAY, BLACK = 1, 2
         trans = self.transitions
-        return not reaches_cycle(self.initial, lambda q: (t for t in trans[q] if t is not None))
+        color: dict[int | None, int] = {None: BLACK, self.initial: GRAY}  # a missing entry leads nowhere
+        stack = [(self.initial, iter(trans[self.initial]))]  # (state, its successors not yet tried)
+        while stack:
+            q, pending = stack[-1]
+            for t in pending:
+                c = color.get(t)
+                if c == GRAY:
+                    return False
+                if c is None:
+                    color[t] = GRAY
+                    stack.append((t, iter(trans[t])))
+                    break
+            else:
+                color[q] = BLACK
+                stack.pop()
+        return True
 
     def completed(self) -> Dfa:
         """Fill every missing entry with a self-loop.

@@ -187,20 +187,15 @@ def cmd_solve(args) -> int:
     sample = sample_from_abbadingo(Path(args.sample).read_text())
     if args.minimize:
         try:
-            m_star, witness = min_consistent(
-                sample, args.max_m, require_acyclic=args.acyclic, time_budget=args.budget
-            )
+            m_star, witness = min_consistent(sample, args.max_m, time_budget=args.budget)
         except BoundExceededError:
-            print(f"unsat: no consistent {'acyclic ' if args.acyclic else ''}automaton "
-                  f"with at most {args.max_m} states")
+            print(f"unsat: no consistent automaton with at most {args.max_m} states")
             return EXIT_FAIL
         print(f"m* = {m_star} ({witness.num_states} states)")
         if args.out:
             Path(args.out).write_text(automaton_to_json(witness))
         return EXIT_OK
-    outcome = exists_consistent(
-        SolveRequest(sample, args.max_m, require_acyclic=args.acyclic, time_budget=args.budget)
-    )
+    outcome = exists_consistent(SolveRequest(sample, args.max_m, time_budget=args.budget))
     print(f"{outcome.status.value} at m = {args.max_m} "
           f"({outcome.states_explored} search steps)")
     if outcome.status is SolveStatus.SAT and args.out:
@@ -340,7 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="decide or minimize consistent automaton size")
     p.add_argument("sample", help="Abbadingo sample path")
     p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    p.add_argument("--acyclic", action="store_true")
     p.add_argument("--minimize", action="store_true")
     p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
     p.add_argument("--out", help="witness JSON path")

@@ -43,13 +43,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import (
-    Dfa,
-    DfaSample,
-    PartialDfa,
-    consistency_violations,
-    reaches_cycle,
-)
+from .automata import Dfa, DfaSample, PartialDfa, consistency_violations
 
 
 class SolveStatus(Enum):
@@ -62,7 +56,6 @@ class SolveStatus(Enum):
 class SolveRequest:
     sample: DfaSample
     max_states: int
-    require_acyclic: bool = False
     time_budget: float | None = None  # wall-clock seconds
 
     def __post_init__(self) -> None:
@@ -73,14 +66,16 @@ class SolveRequest:
 
 @dataclass
 class SolveOutcome:
-    """`states_explored` counts the merge search's steps: one per class a
+    """`witness` is a total DFA on SAT and None otherwise.
+
+    `states_explored` counts the merge search's steps: one per class a
     node passed at its frame, in creation order, whether it folded into the
     class, skipped it by its class row or failed the fold, and one per class
     opened.  So a dead end, where no class left admits the node and m are
     open, adds every class not yet passed.  A clique-bound UNSAT takes 0."""
 
     status: SolveStatus
-    witness: Dfa | PartialDfa | None
+    witness: Dfa | None
     states_explored: int
 
 
@@ -208,7 +203,7 @@ class _MergeSearch:
     """
 
     def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
-                 require_acyclic: bool, deadline: float | None):
+                 deadline: float | None):
         self.crow = list(pta.rows)
         self.rep = list(range(len(pta.children)))
         self.label = list(pta.labels)
@@ -220,7 +215,6 @@ class _MergeSearch:
         self.trail: list[tuple[int, int, list[int], bool, int]] = []
         self.order = [node for node in order if node not in self.rank]
         self.max_states = max_states
-        self.require_acyclic = require_acyclic
         self.deadline = deadline
         self.explored = 0
 
@@ -289,20 +283,6 @@ class _MergeSearch:
                 del self.trans[kept][sym]
             if relabeled:
                 self.label[kept] = 0  # a kept root takes a label only when it had none
-
-    def quotient_acyclic(self, kept: int) -> bool:
-        """Whether the quotient is still acyclic after a successful fold
-        that kept class `kept`, walking only from `kept`.
-
-        The quotient was acyclic before the fold: the tree is, each earlier
-        fold was checked when made, and undo restores.  Every class the
-        closure merged is reachable from `kept`, since each queued pair is
-        two successors, on one symbol, of a class already merged, and every
-        transition the fold added leaves a merged class.  So every new
-        cycle is reachable from `kept`: a walk from the root agrees.
-        """
-        find, trans = self.find, self.trans
-        return not reaches_cycle(kept, lambda c: (find(t) for t in trans[c].values()))
 
     def materialize(self, alphabet) -> PartialDfa:
         roots: list[int] = []
@@ -373,7 +353,7 @@ class _MergeSearch:
                 for red in self.candidates(crow[node], first):
                     if crow[red] >> node & 1:
                         continue
-                    if self.fold(red, node) and (not self.require_acyclic or self.quotient_acyclic(red)):
+                    if self.fold(red, node):
                         taken = rank[red] + 1
                         break
                     self.undo(mark)
@@ -393,22 +373,17 @@ class _MergeSearch:
 
 
 def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOutcome:
-    """Exact decision: is some consistent automaton within max_states?
+    """Exact decision: is some consistent DFA within max_states?
 
-    A SAT outcome carries a verified witness (total DFA, or a partial
-    acyclic one when require_acyclic is set).  UNSAT comes either from the
-    clique bound, with 0 states explored, when the greedy clique of the
-    prefix tree's conflict graph has more than max_states nodes, or from
-    the exhausted merge search.  Running out of time yields a TIMEOUT
-    status, never a wrong answer; the deadline is checked before the
-    clique bound, once per level while the order is built and once per
-    node while the clique is built, but not while the conflict rows are
-    computed when the prefix tree is wrapped.
-
-    The search ranges over quotients of the sample's prefix tree, so every
-    witness realizes every sample string.  In acyclic mode this is part of
-    the contract: a partial automaton that lets some negative strings fall
-    off early is not considered.
+    A SAT outcome carries a total DFA witness, checked against the sample:
+    the merged prefix tree, each missing transition completed by a
+    self-loop.  UNSAT comes either from the clique bound, with 0 states
+    explored, when the greedy clique of the prefix tree's conflict graph
+    has more than max_states nodes, or from the exhausted merge search.
+    Running out of time yields a TIMEOUT status, never a wrong answer; the
+    deadline is checked before the clique bound, once per level while the
+    order is built and once per node while the clique is built, but not
+    while the conflict rows are computed when the prefix tree is wrapped.
 
     `states_explored` counts classes passed (folded, skipped or failed) or
     opened, a dead end adding all not yet passed, as `SolveOutcome` says.
@@ -424,37 +399,33 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
         order, clique = pta.search_plan(deadline)
         if len(clique) > req.max_states:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
-        search = _MergeSearch(pta, order, clique, req.max_states, req.require_acyclic, deadline)
+        search = _MergeSearch(pta, order, clique, req.max_states, deadline)
         sat = search.run()
     except _Timeout:
         return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
     if not sat:
         return SolveOutcome(SolveStatus.UNSAT, None, search.explored)
-    partial = search.materialize(req.sample.alphabet)
-    witness: Dfa | PartialDfa = partial if req.require_acyclic else partial.completed()
+    witness = search.materialize(req.sample.alphabet).completed()
     if consistency_violations(witness, req.sample):
         raise RuntimeError("solver bug: sat witness is not consistent with the sample")
-    if req.require_acyclic and not partial.is_acyclic():
-        raise RuntimeError("solver bug: acyclic-mode witness has a reachable cycle")
     return SolveOutcome(SolveStatus.SAT, witness, search.explored)
 
 
 def min_consistent(
     sample: DfaSample,
     upper_bound: int | None = None,
-    require_acyclic: bool = False,
     time_budget: float | None = None,
-) -> tuple[int, Dfa | PartialDfa]:
-    """Smallest state count admitting a consistent automaton, found by
-    deciding m = 1, 2, ... up to upper_bound with `exists_consistent`.
+) -> tuple[int, Dfa]:
+    """Smallest state count admitting a consistent DFA, with a total DFA
+    witness of that size, found by deciding m = 1, 2, ... up to upper_bound
+    with `exists_consistent`.
 
-    Without an upper_bound, m goes up to the size of an automaton known to
-    be consistent: the RPNI automaton, or in acyclic mode the prefix tree
-    itself.  One prefix tree serves every m, so its conflict rows, search
-    order and clique are built once; each m below the clique size is UNSAT
-    with no search.  Raises BoundExceededError when every m up to the bound
-    is UNSAT and SolveTimeoutError when the shared time budget runs out
-    first; a time_budget that is not positive (NaN included) is a
+    Without an upper_bound, m goes up to the size of the RPNI automaton,
+    which is consistent.  One prefix tree serves every m, so its conflict
+    rows, search order and clique are built once; each m below the clique
+    size is UNSAT with no search.  Raises BoundExceededError when every m up
+    to the bound is UNSAT and SolveTimeoutError when the shared time budget
+    runs out first; a time_budget that is not positive (NaN included) is a
     ValueError, and inf means no deadline.
     """
     if upper_bound is not None and upper_bound < 1:
@@ -463,27 +434,23 @@ def min_consistent(
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _Pta(sample)
     if upper_bound is None:
-        if require_acyclic:
-            upper_bound = len(pta.labels)
-        else:
-            try:
-                upper_bound = len(_rpni_search(pta, deadline).rank)
-            except _Timeout:
-                raise SolveTimeoutError("time budget exhausted while computing the RPNI bound") from None
+        try:
+            upper_bound = len(_rpni_search(pta, deadline).rank)
+        except _Timeout:
+            raise SolveTimeoutError("time budget exhausted while computing the RPNI bound") from None
     for m in range(1, upper_bound + 1):
         remaining = None
         if deadline is not None:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SolveTimeoutError(f"time budget exhausted before deciding m={m}")
-        outcome = exists_consistent(SolveRequest(sample, m, require_acyclic, remaining), _pta=pta)
+        outcome = exists_consistent(SolveRequest(sample, m, time_budget=remaining), _pta=pta)
         if outcome.status is SolveStatus.SAT:
             assert outcome.witness is not None
             return m, outcome.witness
         if outcome.status is SolveStatus.TIMEOUT:
             raise SolveTimeoutError(f"time budget exhausted while deciding m={m}")
-    kind = "acyclic automaton" if require_acyclic else "DFA"
-    raise BoundExceededError(f"no consistent {kind} with at most {upper_bound} states")
+    raise BoundExceededError(f"no consistent DFA with at most {upper_bound} states")
 
 
 def brute_force_min(sample: DfaSample, m_max: int = 3) -> tuple[int, Dfa]:
@@ -525,7 +492,7 @@ def brute_force_min(sample: DfaSample, m_max: int = 3) -> tuple[int, Dfa]:
 def _rpni_search(pta: _Pta, deadline: float | None) -> _MergeSearch:
     """The first descent over breadth-first order, run: every class it
     keeps is committed, one per state of the RPNI automaton."""
-    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), False, deadline)
+    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), deadline)
     search.run()
     return search
 

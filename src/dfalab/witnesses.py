@@ -20,7 +20,7 @@ is: a run that falls off it rejects from there on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .automata import Alphabet, Dfa, PartialDfa, Run, Word
@@ -79,13 +79,7 @@ class RatioReport:
     m_star_lower: int
 
     def as_dict(self) -> dict:
-        return {
-            "m_hat": self.m_hat,
-            "k_hat": self.k_hat,
-            "L": self.L,
-            "k_star": self.k_star,
-            "m_star_lower": self.m_star_lower,
-        }
+        return asdict(self)
 
 
 def _quotient(alphabet: Alphabet, runs: Iterable[Iterable[tuple]]) -> PartialDfa:

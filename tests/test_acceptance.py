@@ -221,7 +221,7 @@ def test_criterion_8_machine_transfer():
 
 
 def test_criterion_9_adfa_facts():
-    with criterion(9, "prefix trees acyclic+consistent; tiny acyclic = |Str|+1", 30):
+    with criterion(9, "prefix trees acyclic+consistent; tiny single string's tree = |Str|+1 path", 30):
         demo5 = dict(suite_graphs())["demo5"]
         generated = []
         for _name, g in suite_graphs():
@@ -238,12 +238,15 @@ def test_criterion_9_adfa_facts():
             assert pta.is_acyclic()
             assert is_consistent(pta, sample)
         # under-bound instance: the equivalences no longer apply, but the
-        # smallest acyclic automaton is the bare path over the string
+        # prefix tree is the bare path over the string, and no acyclic
+        # automaton is smaller: its run on Str visits |Str|+1 distinct
+        # states, since a state met twice would lie on a cycle
         tri = Graph.complete(3)
         tiny = ReductionParams(K=3, L=2, N=3, head_len=2, tail_len=2)
         enc = make_encoding(tri, tiny)
         word, sample, _run = single_string(tri, tiny, enc)
-        m_star, witness = min_consistent(sample, len(word) + 1, require_acyclic=True)
-        assert m_star == len(word) + 1
-        assert witness.is_acyclic()
-        assert is_consistent(witness, sample)
+        pta = prefix_tree_acceptor(sample)
+        assert pta.num_states == len(word) + 1
+        assert [pta.walk(word[:i]) for i in range(len(word) + 1)] == list(range(len(word) + 1))
+        assert pta.is_acyclic()
+        assert is_consistent(pta, sample)

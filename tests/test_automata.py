@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -152,6 +153,12 @@ class TestAcyclicity:
     def test_unreachable_cycle_ignored(self):
         p = PartialDfa(2, BIN, 0, ((None, None), (1, None)), frozenset())
         assert p.is_acyclic()
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        rows = [(q + 1, None) for q in range(n - 1)]
+        assert PartialDfa(n, BIN, 0, (*rows, (None, None)), frozenset()).is_acyclic()
+        assert not PartialDfa(n, BIN, 0, (*rows, (0, None)), frozenset()).is_acyclic()
 
 
 class TestCompletion:

@@ -118,6 +118,22 @@ class TestSolve:
         assert main(["solve", str(out), "--max-m", "3", "--minimize"]) == 1
         assert "unsat" in capsys.readouterr().out
 
+    def test_the_acyclic_flag_is_gone(self, k3_col, tmp_path, capsys):
+        out = tmp_path / "z.abb"
+        main(["reduce", "zhang", "--graph", k3_col, "--out", str(out)])
+        capsys.readouterr()
+        assert main(["solve", str(out), "--max-m", "4", "--acyclic"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+
+    @pytest.mark.parametrize("minimize", [[], ["--minimize"]])
+    def test_the_witness_document_is_a_total_dfa(self, minimize, k3_col, tmp_path):
+        out, witness = tmp_path / "z.abb", tmp_path / "w.json"
+        main(["reduce", "zhang", "--graph", k3_col, "--out", str(out)])
+        assert main(["solve", str(out), "--max-m", "4", *minimize, "--out", str(witness)]) == 0
+        assert json.loads(witness.read_text())["type"] == "dfa"
+
     def test_malformed_sample(self, tmp_path):
         bad = tmp_path / "bad.abb"
         bad.write_text("not a sample\n")

@@ -1,4 +1,4 @@
-"""Exact search, brute-force oracle agreement, RPNI baseline, acyclic mode."""
+"""Exact search, brute-force oracle agreement, RPNI baseline."""
 from __future__ import annotations
 
 import functools
@@ -19,7 +19,6 @@ from dfalab import (
     DfaSample,
     Graph,
     PartialDfa,
-    ReductionParams,
     SolveRequest,
     SolveStatus,
     binary_sample,
@@ -38,7 +37,6 @@ from dfalab import (
 )
 
 from dfalab import solver
-from dfalab.automata import reaches_cycle
 from dfalab.formats import automaton_to_json
 from dfalab.solver import _MergeSearch, _Pta
 
@@ -164,19 +162,9 @@ class TestMinConsistent:
         s = zhang_sample(demo5)
         with pytest.raises(BoundExceededError, match=f"DFA with at most {rpni(s).num_states} states"):
             min_consistent(s)
-        with pytest.raises(BoundExceededError,
-                           match=f"acyclic automaton with at most {len(_Pta(s).labels)} states"):
-            min_consistent(s, require_acyclic=True)
 
     def test_default_bound_on_the_empty_sample(self):
         assert min_consistent(sample([], []))[0] == 1
-        assert min_consistent(sample([], []), require_acyclic=True)[0] == 1
-
-    def test_default_bound_in_acyclic_mode(self, triangle):
-        s = zhang_sample(triangle)
-        m_star, w = min_consistent(s, require_acyclic=True)
-        assert isinstance(w, PartialDfa) and w.is_acyclic() and is_consistent(w, s)
-        assert m_star == w.num_states == min_consistent(s, len(_Pta(s).labels), require_acyclic=True)[0]
 
     def test_bound_exhausted(self, triangle):
         with pytest.raises(BoundExceededError):
@@ -286,37 +274,6 @@ class TestRpni:
             rpni(sample([], []))
 
 
-class TestAcyclicMode:
-    def test_witness_is_partial_and_acyclic(self):
-        # the acyclic witness realizes every sample string, so the negative
-        # extension (0, 0) needs its own state: a bare 3-state path
-        s = sample([(0,)], [(0, 0)])
-        m, w = min_consistent(s, 4, require_acyclic=True)
-        assert m == 3
-        assert isinstance(w, PartialDfa)
-        assert w.is_acyclic()
-        assert is_consistent(w, s)
-
-    def test_cyclic_solutions_are_excluded(self):
-        # unrestricted: one accepting state with a self-loop suffices
-        s = sample([(0,), (0, 0), (0, 0, 0)], [])
-        assert min_consistent(s, 5)[0] == 1
-        m_acyclic, w = min_consistent(s, 5, require_acyclic=True)
-        assert m_acyclic == 4
-        assert w.is_acyclic()
-
-    def test_tiny_single_string_needs_full_path(self, triangle):
-        # deliberately under-bound parameters: the sample is still valid and
-        # the minimum acyclic automaton is the bare path over the string
-        params = ReductionParams(K=3, L=2, N=3, head_len=2, tail_len=2)
-        enc = make_encoding(triangle, params)
-        word, s, _run = single_string(triangle, params, enc)
-        m, w = min_consistent(s, len(word) + 1, require_acyclic=True)
-        assert m == len(word) + 1
-        assert w.is_acyclic()
-        assert is_consistent(w, s)
-
-
 def test_zhang_equivalence_on_small_graphs():
     # exact certification at desk scale: minimum consistent size is one more
     # than the chromatic number
@@ -424,30 +381,6 @@ def test_c5_binary_lower_side_steps_are_pinned():
     assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 3_699_000)
 
 
-# the same side in acyclic mode: the search checks the quotient for a cycle
-# after every fold, and the witness is the partial automaton itself
-ACYCLIC_UPPER_PINS = [
-    ("triangle", Graph.complete(3), 3, 568, 83,
-     "2d516101ab4a96424adfe043f52d543ff5d818798f310375d24ef197761dc5e6"),
-    ("p4", Graph.path(4), 2, 327, 65,
-     "79e97d200bfd97c5a6f4a67bd5e7443fcfadeb075f397477634a3aaa44b34dc7"),
-    ("c5", Graph.cycle(5), 3, 8729, 164,
-     "45a118fb1b5b23bf091c45a79d43db1647a7810091b872821b5faf6caad6e0dd"),
-]
-
-
-@pytest.mark.parametrize("name, g, chi, steps, states, digest", ACYCLIC_UPPER_PINS,
-                         ids=[p[0] for p in ACYCLIC_UPPER_PINS])
-def test_acyclic_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, states, digest):
-    params = default_params(g, chi)
-    s = binary_sample(g, params, make_encoding(g, params))
-    out = exists_consistent(SolveRequest(s, (chi + 1) * params.L - 1, require_acyclic=True))
-    assert (out.status, out.states_explored) == (SolveStatus.SAT, steps)
-    assert isinstance(out.witness, PartialDfa) and out.witness.is_acyclic()
-    assert out.witness.num_states == states
-    assert hashlib.sha256(automaton_to_json(out.witness).encode()).hexdigest() == digest
-
-
 @st.composite
 def labeled_words(draw, symbols=2, max_len=5):
     """A small sample, prefix-closed or not: binary by default."""
@@ -508,29 +441,9 @@ def test_conflict_matches_its_definition_on_three_symbols(s, rng):
     _check_conflict_matches_its_definition(s, rng)
 
 
-def _root_walk(search: _MergeSearch, kept: int) -> bool:
-    """The reference acyclic check: the whole quotient, walked from the root."""
-    find, trans = search.find, search.trans
-    return not reaches_cycle(find(0), lambda c: (find(t) for t in trans[c].values()))
-
-
-def _acyclic_decisions(s: DfaSample) -> list[tuple]:
-    outs = [exists_consistent(SolveRequest(s, m, require_acyclic=True)) for m in range(1, 7)]
-    return [(o.status, o.states_explored, o.witness) for o in outs]
-
-
-@settings(max_examples=150, deadline=None)
-@given(labeled_words())
-def test_acyclic_check_from_the_kept_class_matches_the_root_walk(s):
-    decided = _acyclic_decisions(s)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_MergeSearch, "quotient_acyclic", _root_walk)
-        assert _acyclic_decisions(s) == decided
-
-
 def _unbounded_search(pta: _Pta) -> _MergeSearch:
     """A search as rpni builds it: no clique, no state bound below the tree size."""
-    return _MergeSearch(pta, pta.bfs, [], len(pta.labels), False, None)
+    return _MergeSearch(pta, pta.bfs, [], len(pta.labels), None)
 
 
 @settings(max_examples=150, deadline=None)
