@@ -19,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, compress, count, islice, repeat
+from operator import gt, not_
 
 Word = tuple[int, ...]
 Run = tuple[Word, tuple[bool, ...]]  # an input word and the label of each nonempty prefix
@@ -171,7 +173,16 @@ class DfaSample:
             for k, (a, b) in enumerate(zip(word, out)):
                 label = 1 if b else -1
                 nxt = children[node].get(a)
-                if nxt is None:
+                if nxt is None and k + 1 < len(word):  # two or more new symbols: one chain
+                    new = word[k:]
+                    if not (0 <= min(new) and max(new) < size):
+                        raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
+                    nxt = children[node][a] = len(labels)
+                    children += [{s: c} for s, c in zip(new[1:], range(nxt + 1, nxt + len(new)))]
+                    children.append({})
+                    labels += [1 if o else -1 for o in out[k:]]
+                    break
+                if nxt is None:  # one new symbol: one node, at half the chain's cost
                     if not 0 <= a < size:
                         raise ValueError(f"string {word!r} uses symbols outside alphabet of size {size}")
                     nxt = len(labels)
@@ -290,10 +301,15 @@ class _Machine:
 
     def __post_init__(self) -> None:
         num_states, size, partial = self.num_states, self.alphabet.size, self._partial
-        rows = tuple(tuple(row) for row in self.transitions)
+        rows = tuple(map(tuple, self.transitions))
         if len(rows) != num_states:
             raise ValueError(f"expected {num_states} transition rows, got {len(rows)}")
-        for q, row in enumerate(rows):
+        try:  # checked in bulk; the loop below names the first error
+            entries = set(chain.from_iterable(rows)) - ({None} if partial else set())
+            valid = set(map(len, rows)) <= {size} and _within(entries, num_states)
+        except TypeError:  # an unhashable entry
+            valid = False
+        for q, row in enumerate(() if valid else rows):
             if len(row) != size:
                 raise ValueError(f"state {q}: expected {size} entries, got {len(row)}")
             for t in row:
@@ -318,7 +334,7 @@ class _Acceptor(_Machine):
     def __post_init__(self) -> None:
         super().__post_init__()
         accepting = frozenset(self.accepting)
-        for q in accepting:
+        for q in () if _within(accepting, self.num_states) else accepting:
             if not 0 <= q < self.num_states:
                 raise ValueError(f"accepting state {q} out of range")
         object.__setattr__(self, "accepting", accepting)
@@ -399,10 +415,7 @@ class PartialDfa(_Acceptor):
         witnesses): a string that falls off right after an accepting state
         is rejected, and a self-loop there would accept it.
         """
-        rows = tuple(
-            tuple(q if t is None else t for t in row)
-            for q, row in enumerate(self.transitions)
-        )
+        rows = tuple(tuple(map({None: q}.get, row, row)) for q, row in enumerate(self.transitions))
         return Dfa(self.num_states, self.alphabet, self.initial, rows, self.accepting)
 
 
@@ -415,7 +428,7 @@ class MooreMachine(_Machine):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        output = tuple(bool(b) for b in self.output)
+        output = tuple(map(bool, self.output))
         object.__setattr__(self, "output", output)
         if len(output) != self.num_states:
             raise ValueError("need one output per state")
@@ -439,7 +452,7 @@ class MealyMachine(_Machine):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        output = tuple(tuple(bool(b) for b in row) for row in self.output)
+        output = tuple(tuple(map(bool, row)) for row in self.output)
         object.__setattr__(self, "output", output)
         if len(output) != self.num_states or any(len(row) != self.alphabet.size for row in output):
             raise ValueError("need one output per (state, symbol)")
@@ -459,6 +472,12 @@ def _format_run(run: Run) -> str:
     return f"({list(word)}, {output_str(out)!r})"
 
 
+def _within(values, bound: int) -> bool:
+    """Whether all values are ints in [0, bound), by their types, min and
+    max; False sends the caller to its entry loop, which decides."""
+    return set(map(type, values)) <= {int} and (not values or 0 <= min(values) and max(values) < bound)
+
+
 @dataclass(frozen=True)
 class MachineSample:
     """Finite set of observed (input, output) runs with equal lengths.
@@ -470,7 +489,7 @@ class MachineSample:
     runs: frozenset[Run]
 
     def __post_init__(self) -> None:
-        runs = frozenset((tuple(s), tuple(bool(b) for b in t)) for s, t in self.runs)
+        runs = frozenset((tuple(s), tuple(map(bool, t))) for s, t in self.runs)
         object.__setattr__(self, "runs", runs)
         # checks lengths, symbols and agreement on shared input prefixes
         DfaSample.from_runs(self.alphabet, runs)
@@ -534,9 +553,9 @@ def prefix_tree_acceptor(sample: DfaSample) -> PartialDfa:
     """
     if not sample.size():
         raise SampleError("cannot build a prefix tree from an empty sample")
-    size = sample.alphabet.size
-    rows = tuple(tuple(ch.get(a) for a in range(size)) for ch in sample.children)
-    accepting = frozenset(q for q, label in enumerate(sample.labels) if label > 0)
+    children = sample.children  # one column per symbol, zipped into rows
+    rows = tuple(zip(*[map(dict.get, children, repeat(a)) for a in range(sample.alphabet.size)]))
+    accepting = frozenset(compress(count(), map(gt, sample.labels, repeat(0))))
     return PartialDfa(len(rows), sample.alphabet, 0, rows, accepting)
 
 
@@ -551,13 +570,23 @@ def dfa_sample_to_machine_sample(sample: DfaSample) -> MachineSample:
         raise SampleError(
             "sample is not (almost) prefix-complete; per-position outputs are undefined"
         )
+    # in preorder, the nodes after one leaf up to the next are a chain of
+    # first children, hanging below a node on the path of the one before
     children, labels = sample.children, sample.labels
-    runs = frozenset(
-        (tuple(word), tuple(labels[node] > 0 for node in nodes[1:]))
-        for word, nodes in sample.preorder()
-        if word and not children[nodes[-1]]  # a leaf is a maximal string
-    )
-    return MachineSample(sample.alphabet, runs)
+    runs = []
+    path, word = [0], []  # the nodes and symbols of the last run's prefixes
+    start = 1  # the node after the last leaf
+    for leaf in compress(range(1, len(children)), map(not_, islice(children, 1, None))):  # leaves
+        while start not in children[path[-1]].values():
+            path.pop()
+        kids = children[path[-1]]
+        del word[len(path) - 1:]
+        word.append(list(kids)[list(kids.values()).index(start)])
+        word.extend(map(next, map(iter, children[start:leaf])))  # first children: the least symbols
+        path.extend(range(start, leaf + 1))
+        runs.append((tuple(word), tuple([labels[q] > 0 for q in path[1:]])))
+        start = leaf + 1
+    return MachineSample(sample.alphabet, frozenset(runs))
 
 
 def machine_sample_to_dfa_sample(ms: MachineSample) -> DfaSample:

@@ -130,7 +130,9 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     if kind != "partial-dfa" and len(given) < num_states * size:
         missing = next((q, a) for q in range(num_states) for a in range(size) if (q, a) not in given)
         raise FormatError(f"{kind} document is missing transitions, e.g. {missing}")
-    table = tuple(tuple(given.get((q, a)) for a in range(size)) for q in range(num_states))
+    table = [(None,) * size] * num_states  # the states with no transition listed share a row
+    for q in {q for q, _a in given}:
+        table[q] = tuple(given.get((q, a)) for a in range(size))
 
     if kind == "partial-dfa":
         return PartialDfa(num_states, alphabet, initial, table, accepting)
