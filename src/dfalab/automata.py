@@ -150,11 +150,12 @@ class DfaSample:
                 labels[node] = sign
         self._plant(alphabet, children, labels)
 
-    def _set(self, alphabet: Alphabet, children: list[dict[int, int]], labels: list[int]) -> None:
+    def _set(self, alphabet: Alphabet, children: list[dict[int, int]], labels: list[int]) -> "DfaSample":
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "labels", tuple(labels))
         object.__setattr__(self, "counts", (labels.count(1), labels.count(-1)))
+        return self
 
     @classmethod
     def from_runs(cls, alphabet: Alphabet, runs: Iterable[Run],
@@ -194,9 +195,11 @@ class DfaSample:
                     raise SampleError(f"conflicting runs: {_format_run(other)} and "
                                       f"{_format_run((word, out))} disagree on a shared input prefix")
                 node = nxt
-        sample = cls.__new__(cls)
-        sample._set(alphabet, children, labels)
-        return sample
+        return cls.__new__(cls)._set(alphabet, children, labels)
+
+    def _rooted(self, label: int) -> "DfaSample":
+        """This tree, its children maps shared, with the empty string labeled `label`."""
+        return DfaSample.__new__(DfaSample)._set(self.alphabet, self.children, [label, *self.labels[1:]])
 
     @classmethod
     def _from_tree(cls, alphabet: Alphabet, children: list[dict[int, int]],
@@ -487,12 +490,20 @@ class MachineSample:
 
     alphabet: Alphabet
     runs: frozenset[Run]
+    _tree: DfaSample = field(init=False, repr=False, compare=False)  # of the runs, root unlabeled
 
     def __post_init__(self) -> None:
         runs = frozenset((tuple(s), tuple(map(bool, t))) for s, t in self.runs)
         object.__setattr__(self, "runs", runs)
         # checks lengths, symbols and agreement on shared input prefixes
-        DfaSample.from_runs(self.alphabet, runs)
+        object.__setattr__(self, "_tree", DfaSample.from_runs(self.alphabet, runs))
+
+    @classmethod
+    def _of_tree(cls, runs: frozenset[Run], tree: DfaSample) -> "MachineSample":
+        """The sample of `runs`, tuples of ints and of bools, given their tree."""
+        ms = cls.__new__(cls)
+        vars(ms).update(alphabet=tree.alphabet, runs=runs, _tree=tree)
+        return ms
 
 
 class PrefixCompleteness(Enum):
@@ -586,7 +597,7 @@ def dfa_sample_to_machine_sample(sample: DfaSample) -> MachineSample:
         path.extend(range(start, leaf + 1))
         runs.append((tuple(word), tuple([labels[q] > 0 for q in path[1:]])))
         start = leaf + 1
-    return MachineSample(sample.alphabet, frozenset(runs))
+    return MachineSample._of_tree(frozenset(runs), sample._rooted(0))
 
 
 def machine_sample_to_dfa_sample(ms: MachineSample) -> DfaSample:
@@ -595,4 +606,4 @@ def machine_sample_to_dfa_sample(ms: MachineSample) -> DfaSample:
     The result is almost prefix-complete; the empty string is placed in
     neither set.
     """
-    return DfaSample.from_runs(ms.alphabet, ms.runs)
+    return ms._tree

@@ -2,6 +2,9 @@
 build and extract witnesses, verify the size bounds, and convert formats.
 
 Exit codes: 0 pass/sat, 1 fail/unsat, 2 usage or parse error, 3 timeout.
+
+A call whose first argument names a command (`_COMMANDS`) builds that
+command's parser alone; any other call builds all seven.
 """
 from __future__ import annotations
 
@@ -312,82 +315,87 @@ def cmd_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_KINDS = ["zhang", "binary", "single"]
+
+# name: (help, handler, arguments as (name or flag, add_argument keywords))
+_COMMANDS = {
+    "reduce": ("generate a reduction instance from a graph", cmd_reduce, [
+        ("kind", dict(choices=_KINDS)),
+        ("--graph", dict(required=True, help="DIMACS file or generator spec (k4, c5, p4, edgeless3, gnp6x0.5)")),
+        ("--K", dict(type=int, help="target color count (required for single)")),
+        ("--L", dict(type=int, help="override the body length")),
+        ("--N", dict(type=int, help="override the zero-run length")),
+        ("--out", dict(required=True, help="Abbadingo sample output path")),
+        ("--meta", dict(help="metadata JSON path (default: <out>.meta.json)")),
+        ("--run", dict(help="run file path for single (default: <out>.run.txt)")),
+    ]),
+    "solve": ("decide or minimize consistent automaton size", cmd_solve, [
+        ("sample", dict(help="Abbadingo sample path")),
+        ("--max-m", dict(type=int, required=True, dest="max_m")),
+        ("--minimize", dict(action="store_true")),
+        ("--budget", dict(type=float, help="wall-clock budget in seconds")),
+        ("--out", dict(help="witness JSON path")),
+    ]),
+    "witness": ("build the forward construction from a coloring", cmd_witness, [
+        ("--kind", dict(required=True, choices=[*_KINDS, "two-chain"])),
+        ("--graph", dict(required=True)),
+        ("--K", dict(type=int)),
+        ("--coloring", dict(help="comma-separated colors, e.g. 1,2,3,1,1")),
+        ("--L", dict(type=int)),
+        ("--N", dict(type=int)),
+        ("--out", dict(required=True, help="automaton JSON path")),
+    ]),
+    "extract": ("extract a coloring from a consistent DFA", cmd_extract, [
+        ("--kind", dict(required=True, choices=_KINDS)),
+        ("--dfa", dict(required=True, help="automaton JSON path")),
+        ("--graph", dict(required=True)),
+        ("--meta", dict(help="metadata JSON written by reduce")),
+        ("--out", dict(help="coloring JSON path")),
+    ]),
+    "verify": ("run one graph through a full round trip", cmd_verify, [
+        ("--kind", dict(required=True, choices=_KINDS)),
+        ("--graph", dict(required=True)),
+        ("--K", dict(type=int, required=True)),
+        ("--L", dict(type=int)),
+        ("--N", dict(type=int)),
+        ("--ratio", dict(action="store_true",
+                         help="also run the rpni baseline and the ratio bookkeeping (binary)")),
+        ("--budget", dict(type=float)),
+    ]),
+    "convert": ("convert between automaton and sample formats", cmd_convert, [
+        ("--to", dict(required=True, choices=["moore", "mealy", "machine-sample", "dfa-sample"])),
+        ("input", {}),
+        ("output", {}),
+    ]),
+    "dot": ("render an automaton JSON document as DOT", cmd_dot, [("input", {}), ("output", {})]),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """Every subparser, or only the one of the command `argv` starts with:
+    argparse then reaches no other, and its output is the same."""
     parser = argparse.ArgumentParser(
         prog="dfalab",
         description="Coloring-to-DFA reduction instances, exact solving, and bound verification.",
     )
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for generated random graphs (default 0)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", help="generate a reduction instance from a graph")
-    p.add_argument("kind", choices=["zhang", "binary", "single"])
-    p.add_argument("--graph", required=True, help="DIMACS file or generator spec (k4, c5, p4, edgeless3, gnp6x0.5)")
-    p.add_argument("--K", type=int, help="target color count (required for single)")
-    p.add_argument("--L", type=int, help="override the body length")
-    p.add_argument("--N", type=int, help="override the zero-run length")
-    p.add_argument("--out", required=True, help="Abbadingo sample output path")
-    p.add_argument("--meta", help="metadata JSON path (default: <out>.meta.json)")
-    p.add_argument("--run", help="run file path for single (default: <out>.run.txt)")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("solve", help="decide or minimize consistent automaton size")
-    p.add_argument("sample", help="Abbadingo sample path")
-    p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    p.add_argument("--minimize", action="store_true")
-    p.add_argument("--budget", type=float, help="wall-clock budget in seconds")
-    p.add_argument("--out", help="witness JSON path")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("witness", help="build the forward construction from a coloring")
-    p.add_argument("--kind", required=True, choices=["zhang", "binary", "single", "two-chain"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--K", type=int)
-    p.add_argument("--coloring", help="comma-separated colors, e.g. 1,2,3,1,1")
-    p.add_argument("--L", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--out", required=True, help="automaton JSON path")
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("extract", help="extract a coloring from a consistent DFA")
-    p.add_argument("--kind", required=True, choices=["zhang", "binary", "single"])
-    p.add_argument("--dfa", required=True, help="automaton JSON path")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--meta", help="metadata JSON written by reduce")
-    p.add_argument("--out", help="coloring JSON path")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("verify", help="run one graph through a full round trip")
-    p.add_argument("--kind", required=True, choices=["zhang", "binary", "single"])
-    p.add_argument("--graph", required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int)
-    p.add_argument("--N", type=int)
-    p.add_argument("--ratio", action="store_true",
-                   help="also run the rpni baseline and the ratio bookkeeping (binary)")
-    p.add_argument("--budget", type=float)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("convert", help="convert between automaton and sample formats")
-    p.add_argument("--to", required=True,
-                   choices=["moore", "mealy", "machine-sample", "dfa-sample"])
-    p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=cmd_convert)
-
-    p = sub.add_parser("dot", help="render an automaton JSON document as DOT")
-    p.add_argument("input")
-    p.add_argument("output")
-    p.set_defaults(func=cmd_dot)
-
+    names = [argv[0]] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None  # usage names all seven
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        summary, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        for arg, keywords in arguments:
+            p.add_argument(arg, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:

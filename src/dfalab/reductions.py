@@ -238,6 +238,6 @@ def single_string(
     is one tree path of |Str| + 1 nodes, built in linear time and memory.
     """
     word, labels = single_run(g, params, enc)
-    sample = DfaSample.from_runs(Alphabet.binary(), [(word, labels)], empty=False)
-    run = MachineSample(Alphabet.binary(), frozenset({(word, labels)}))
-    return word, sample, run
+    tree = DfaSample.from_runs(Alphabet.binary(), [(word, labels)])
+    run = MachineSample._of_tree(frozenset({(word, labels)}), tree)
+    return word, tree._rooted(-1), run

@@ -2,7 +2,8 @@
 they replace: `DfaSample.from_runs`, `MachineSample`, the transition-table
 checks, the prefix-tree rows and the sample-to-runs conversion.  Each
 reference below is the loop as it was, kept here so that trees, runs and
-error messages can be compared exactly."""
+error messages can be compared exactly.  The prefix tree a `MachineSample`
+keeps is checked against `DfaSample.from_runs`."""
 from __future__ import annotations
 
 import pytest
@@ -18,11 +19,16 @@ from dfalab import (
     MooreMachine,
     PartialDfa,
     SampleError,
+    default_params,
     dfa_sample_to_machine_sample,
     machine_sample_to_dfa_sample,
+    make_encoding,
     prefix_tree_acceptor,
+    single_string,
 )
 from dfalab.automata import output_str
+from dfalab.certification import suite_graphs
+from dfalab.formats import machine_sample_from_text, machine_sample_to_text
 
 # ---------------------------------------------------------------------------
 # References
@@ -265,6 +271,8 @@ def test_malformed_tables(cls, n, initial, rows):
 def test_machine_sample_conversion_matches_the_preorder_walk(s):
     ms = dfa_sample_to_machine_sample(s)
     assert ms.runs == reference_machine_runs(s)
+    assert_tree_of_runs(ms)
+    assert ms._tree.children is s.children
     if len(s.labels) > 1:
         back = machine_sample_to_dfa_sample(ms)
         assert back == DfaSample(s.alphabet, s.positives - {()}, s.negatives - {()})
@@ -282,3 +290,44 @@ def test_prefix_tree_rows(s):
     assert pta.accepting == frozenset(q for q, label in enumerate(s.labels) if label > 0)
     assert pta.completed().transitions == tuple(
         tuple(q if t is None else t for t in row) for q, row in enumerate(rows))
+
+
+# ---------------------------------------------------------------------------
+# The prefix tree a MachineSample keeps
+
+
+def assert_tree_of_runs(ms: MachineSample) -> None:
+    """`ms` keeps the tree `from_runs` builds from its runs, root unlabeled."""
+    expected = DfaSample.from_runs(ms.alphabet, ms.runs)
+    assert ms._tree == expected and ms._tree.counts == expected.counts
+    assert [list(c.items()) for c in ms._tree.children] == [list(c.items()) for c in expected.children]
+    assert machine_sample_to_dfa_sample(ms) is ms._tree
+
+
+SINGLE_GRAPHS = {name: g for name, g in suite_graphs(3) if g.edges}
+
+
+@pytest.mark.parametrize("g", list(SINGLE_GRAPHS.values()), ids=list(SINGLE_GRAPHS))
+def test_single_string_builds_one_tree(g):
+    params = default_params(g, 3)
+    word, sample, run = single_string(g, params, make_encoding(g, params))
+    assert_tree_of_runs(run)
+    expected = DfaSample.from_runs(Alphabet.binary(), run.runs, empty=False)
+    assert sample == expected and sample.counts == expected.counts
+    assert sample.children is run._tree.children and sample.labels[0] == -1
+    # the run file round trip and the conversion from the sample keep the same tree
+    for ms in (machine_sample_from_text(machine_sample_to_text(run)),
+               dfa_sample_to_machine_sample(sample)):
+        assert ms == run and hash(ms) == hash(run)
+        assert_tree_of_runs(ms)
+
+
+@settings(max_examples=200)
+@given(closed_samples())
+def test_machine_sample_equality_ignores_the_kept_tree(s):
+    ms = dfa_sample_to_machine_sample(s)
+    built = MachineSample(ms.alphabet, ms.runs)
+    assert ms == built and hash(ms) == hash(built) == hash((ms.alphabet, ms.runs))
+    for m in (ms, built):
+        assert repr(m) == f"MachineSample(alphabet={m.alphabet!r}, runs={m.runs!r})"
+    assert_tree_of_runs(built)

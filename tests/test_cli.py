@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import tracemalloc
 
 import pytest
 
-from dfalab import Graph, emit_dimacs
+from dfalab import Graph, cli, emit_dimacs
 from dfalab.cli import main
 from dfalab.formats import automaton_from_json, sample_from_abbadingo
 
@@ -425,6 +426,69 @@ class TestParsing:
                      "--out", str(tmp_path / "c5.abb")]) == 0
         assert main(["--seed", "3", "reduce", "zhang", "--graph", "gnp6x0.5",
                      "--out", str(tmp_path / "g.abb")]) == 0
+
+    def test_the_console_script_reads_sys_argv(self, monkeypatch, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        for argv in (["witness", "--kind", "zhang", "--graph", "c5", "--K", "3", "--out", str(w)],
+                     ["extract", "--kind", "zhang", "--graph", "c5", "--dfa", str(w)]):
+            monkeypatch.setattr(sys, "argv", ["dfalab", *argv])
+            assert main() == 0
+        assert capsys.readouterr().out.endswith("num_colors: 3\n")
+
+
+COMMANDS = ["reduce", "solve", "witness", "extract", "verify", "convert", "dot"]
+# argvs that end in help or a usage error: top-level help before or without
+# a command (abbreviated too), no command, a bad --seed before one, an
+# unknown command, each command's help, a missing required option, a bad
+# choice and an unknown option
+REFUSED_ARGVS = [
+    [], ["-h"], ["--help"], ["--he"],
+    ["--seed", "3"], ["--seed", "x", "reduce"], ["--se", "2", "dot", "a", "b", "c"],
+    ["bogus"], ["-h", "dot"],
+    *([command, "-h"] for command in COMMANDS),
+    ["reduce", "zhang", "--out", "z.abb"],
+    ["witness", "--kind", "nope", "--graph", "k3", "--out", "w.json"],
+    ["solve", "s", "--max-m", "3", "--acyclic"],
+]
+VALID_ARGVS = [
+    ["reduce", "single", "--graph", "k3", "--K", "3", "--L", "9", "--N", "40", "--out", "s.abb",
+     "--meta", "m.json", "--run", "r.txt"],
+    ["solve", "s.abb", "--max-m", "4", "--minimize", "--budget", "2.5", "--out", "w.json"],
+    ["witness", "--kind", "two-chain", "--graph", "c5", "--K", "3", "--coloring", "1,2,1,2,3",
+     "--L", "9", "--N", "40", "--out", "w.json"],
+    ["extract", "--kind", "binary", "--dfa", "w.json", "--graph", "k3", "--meta", "m.json",
+     "--out", "c.json"],
+    ["verify", "--kind", "binary", "--graph", "p4", "--K", "2", "--L", "9", "--N", "40", "--ratio",
+     "--budget", "5"],
+    ["convert", "--to", "dfa-sample", "r.txt", "s.abb"],
+    ["dot", "w.json", "w.dot"],
+    ["--seed", "7", "reduce", "zhang", "--graph", "gnp6x0.5", "--out", "g.abb"],
+]
+
+
+def _commands_built(parser) -> list[str]:
+    sub = next(a for a in parser._actions if isinstance(a.choices, dict))
+    return list(sub.choices)
+
+
+@pytest.mark.parametrize("argv", REFUSED_ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_prints_what_the_full_parser_prints(argv, capsys):
+    code = main(argv)
+    got = capsys.readouterr()
+    full = cli._build_parser([])
+    assert _commands_built(full) == COMMANDS
+    with pytest.raises(SystemExit) as exit_:
+        full.parse_args(argv)
+    assert (code, got.out, got.err) == (exit_.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_a_command_parses_as_on_the_full_parser(argv):
+    parser = cli._build_parser(argv)
+    args = parser.parse_args(argv)
+    assert args == cli._build_parser([]).parse_args(argv)
+    assert args.func is getattr(cli, f"cmd_{args.command}")
+    assert _commands_built(parser) == ([argv[0]] if argv[0] in COMMANDS else COMMANDS)
 
 
 # documents of the right JSON syntax whose fields have the wrong type: each
