@@ -73,15 +73,6 @@ class Alphabet:
         return word
 
 
-@dataclass(frozen=True)
-class LabeledString:
-    symbols: Word
-    label: bool  # True = positive (accepted)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-
-
 class SampleWords(Set):
     """Read-only set view of the words a DfaSample labels with a sign in
     `signs` (1 positive, -1 negative); set operations return frozensets."""
@@ -527,16 +518,19 @@ def prefix_completeness(sample: DfaSample) -> PrefixCompleteness:
     return PrefixCompleteness.ALMOST_COMPLETE
 
 
-def consistency_violations(machine: Dfa | PartialDfa, sample: DfaSample) -> list[LabeledString]:
-    """All sample strings whose verdict under `machine` contradicts their
-    label, in sorted order; empty when the machine is consistent.  The
-    machine runs once down each edge of the sample's prefix tree.
+def _check_alphabet(machine: Dfa | PartialDfa, alphabet: Alphabet) -> None:
+    if machine.alphabet.size != alphabet.size:
+        raise ValueError(f"alphabet mismatch: machine has {machine.alphabet.size} symbols, "
+                         f"sample has {alphabet.size}")
+
+
+def consistency_violations(machine: Dfa | PartialDfa, sample: DfaSample) -> list[tuple[Word, bool]]:
+    """All (word, label) pairs of the sample whose verdict under `machine`
+    contradicts the label (True = positive), in sorted order; empty when
+    the machine is consistent.  The machine runs once down each edge of the
+    sample's prefix tree.
     """
-    if machine.alphabet.size != sample.alphabet.size:
-        raise ValueError(
-            f"alphabet mismatch: machine has {machine.alphabet.size} symbols, "
-            f"sample has {sample.alphabet.size}"
-        )
+    _check_alphabet(machine, sample.alphabet)
     trans, labels = machine.transitions, sample.labels
     state: list[int | None] = [machine.initial] * len(labels)
     for node, children in enumerate(sample.children):  # parents come first
@@ -547,7 +541,7 @@ def consistency_violations(machine: Dfa | PartialDfa, sample: DfaSample) -> list
              if label and (state[node] in accepting) != (label > 0)}
     if not wrong:
         return []
-    return [LabeledString(tuple(word), labels[nodes[-1]] > 0)
+    return [(tuple(word), labels[nodes[-1]] > 0)
             for word, nodes in sample.preorder() if nodes[-1] in wrong]
 
 

@@ -126,12 +126,12 @@ def _binary(g: Graph, k: int, params: ReductionParams, ratio: bool) -> Iterator[
     yield Check("forward witness is acyclic", witness.is_acyclic())
     yield Check(f"forward witness has fewer than (K+1)L = {bound} states",
                 witness.num_states < bound, f"{witness.num_states} states")
-    extracted, _ = coloring_from_binary_dfa(witness, g, params, enc)
+    extracted = coloring_from_binary_dfa(witness, g, params, enc)
     yield Check("extraction from the witness stays within K classes",
                 extracted.num_colors <= k, f"k_hat = {extracted.num_colors}")
     yield Check("disjoint-chain count: k_hat * L <= witness states",
                 extracted.num_colors * params.L <= witness.num_states)
-    from_pta, _ = coloring_from_binary_dfa(prefix_tree_acceptor(sample), g, params, enc)
+    from_pta = coloring_from_binary_dfa(prefix_tree_acceptor(sample), g, params, enc)
     yield Check("prefix-tree extraction keeps one class per vertex",
                 from_pta.num_colors == g.num_vertices,
                 f"k_hat = {from_pta.num_colors}, |V| = {g.num_vertices}")

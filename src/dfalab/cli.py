@@ -39,7 +39,7 @@ from .formats import (
     sample_from_abbadingo,
     sample_to_abbadingo,
 )
-from .graphs import Coloring, DimacsError, Graph, chromatic_number, parse_dimacs
+from .graphs import Coloring, DimacsError, Graph, chromatic_number, is_proper_coloring, parse_dimacs
 from .reductions import (
     binary_sample,
     default_params,
@@ -50,7 +50,6 @@ from .reductions import (
 )
 from .solver import (
     BoundExceededError,
-    SolveRequest,
     SolveStatus,
     SolveTimeoutError,
     exists_consistent,
@@ -105,9 +104,9 @@ def _load_graph(spec: str, seed: int) -> Graph:
 def _params_for(args, g: Graph, k: int):
     params = default_params(g, k)
     overrides = {}
-    if getattr(args, "L", None) is not None:
+    if args.L is not None:
         overrides["L"] = args.L
-    if getattr(args, "N", None) is not None:
+    if args.N is not None:
         overrides["N"] = args.N
     if overrides:
         params = dataclasses.replace(params, **overrides)
@@ -122,8 +121,6 @@ def _parse_coloring(text: str) -> Coloring:
 def _pick_coloring(args, g: Graph) -> tuple[int, Coloring]:
     """The coloring to build a witness from: the one supplied, or the
     chromatic oracle's, capped by --K."""
-    from .graphs import is_proper_coloring
-
     if args.coloring:
         coloring = _parse_coloring(args.coloring)
         if not is_proper_coloring(g, coloring):
@@ -198,7 +195,7 @@ def cmd_solve(args) -> int:
         if args.out:
             Path(args.out).write_text(automaton_to_json(witness))
         return EXIT_OK
-    outcome = exists_consistent(SolveRequest(sample, args.max_m, time_budget=args.budget))
+    outcome = exists_consistent(sample, args.max_m, args.budget)
     print(f"{outcome.status.value} at m = {args.max_m} "
           f"({outcome.states_explored} search steps)")
     if outcome.status is SolveStatus.SAT and args.out:
@@ -256,7 +253,7 @@ def cmd_extract(args) -> int:
         params = metadata_params(meta, need_kn=args.kind == "single")
         enc = metadata_encoding(meta)
         if args.kind == "binary":
-            coloring, _analysis = coloring_from_binary_dfa(machine, g, params, enc)
+            coloring = coloring_from_binary_dfa(machine, g, params, enc)
         else:
             coloring = coloring_from_single_dfa(machine, g, params, enc)
     print(f"colors: {' '.join(str(c) for c in coloring.colors)}")

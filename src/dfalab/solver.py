@@ -52,18 +52,6 @@ class SolveStatus(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class SolveRequest:
-    sample: DfaSample
-    max_states: int
-    time_budget: float | None = None  # wall-clock seconds
-
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
-        _check_budget(self.time_budget)
-
-
 @dataclass
 class SolveOutcome:
     """`witness` is a total DFA on SAT and None otherwise.
@@ -372,8 +360,10 @@ class _MergeSearch:
                 return False
 
 
-def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOutcome:
-    """Exact decision: is some consistent DFA within max_states?
+def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | None = None,
+                      *, _pta: _Pta | None = None) -> SolveOutcome:
+    """Exact decision: is some DFA with at most max_states states
+    consistent with the sample, within time_budget wall-clock seconds?
 
     A SAT outcome carries a total DFA witness, checked against the sample:
     the merged prefix tree, each missing transition completed by a
@@ -388,25 +378,31 @@ def exists_consistent(req: SolveRequest, *, _pta: _Pta | None = None) -> SolveOu
     `states_explored` counts classes passed (folded, skipped or failed) or
     opened, a dead end adding all not yet passed, as `SolveOutcome` says.
 
+    A max_states below 1, or a time_budget that is not positive (NaN
+    included), is a ValueError; None or inf means no deadline.
+
     `_pta` lets `min_consistent` share one prefix tree, with its conflict
     rows, order and clique, between the state bounds it decides.
     """
-    deadline = time.monotonic() + req.time_budget if req.time_budget is not None else None
-    pta = _pta if _pta is not None else _Pta(req.sample)
+    if max_states < 1:
+        raise ValueError("max_states must be at least 1")
+    _check_budget(time_budget)
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    pta = _pta if _pta is not None else _Pta(sample)
     search = None
     try:
         _check_deadline(deadline)
         order, clique = pta.search_plan(deadline)
-        if len(clique) > req.max_states:
+        if len(clique) > max_states:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
-        search = _MergeSearch(pta, order, clique, req.max_states, deadline)
+        search = _MergeSearch(pta, order, clique, max_states, deadline)
         sat = search.run()
     except _Timeout:
         return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
     if not sat:
         return SolveOutcome(SolveStatus.UNSAT, None, search.explored)
-    witness = search.materialize(req.sample.alphabet).completed()
-    if consistency_violations(witness, req.sample):
+    witness = search.materialize(sample.alphabet).completed()
+    if consistency_violations(witness, sample):
         raise RuntimeError("solver bug: sat witness is not consistent with the sample")
     return SolveOutcome(SolveStatus.SAT, witness, search.explored)
 
@@ -444,7 +440,7 @@ def min_consistent(
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SolveTimeoutError(f"time budget exhausted before deciding m={m}")
-        outcome = exists_consistent(SolveRequest(sample, m, time_budget=remaining), _pta=pta)
+        outcome = exists_consistent(sample, m, remaining, _pta=pta)
         if outcome.status is SolveStatus.SAT:
             assert outcome.witness is not None
             return m, outcome.witness

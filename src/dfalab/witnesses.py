@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Iterable
 
-from .automata import Alphabet, Dfa, PartialDfa, Run, Word
+from .automata import Alphabet, Dfa, PartialDfa, Run, Word, _check_alphabet
 from .graphs import Coloring, Graph, chromatic_number, is_proper_coloring
 from .reductions import (
     Encoding,
@@ -47,21 +47,6 @@ class ExtractionError(RuntimeError):
     Raised instead of silently returning a bogus coloring; seeing this on a
     consistent input means a bug in the construction or the extractor.
     """
-
-
-@dataclass(frozen=True)
-class ChainAnalysis:
-    """Where each vertex's head + 0^L walk ends, grouped into color classes.
-
-    chain_states holds, for each class, the L+1 states along the zero run
-    of the class's first vertex.  States within one chain are pairwise
-    distinct and chains of distinct classes are disjoint; both facts are
-    checked during extraction.
-    """
-
-    end_state_of_vertex: tuple[int, ...]
-    num_classes: int
-    chain_states: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -153,11 +138,7 @@ def _replay(m: Dfa | PartialDfa, alphabet: Alphabet, runs: Iterable[Run], empty:
     A run that falls off a partial automaton rejects from there on.  Raises
     InconsistentDfaError naming the first wrong prefix.
     """
-    if m.alphabet.size != alphabet.size:
-        raise ValueError(
-            f"alphabet mismatch: machine has {m.alphabet.size} symbols, "
-            f"sample has {alphabet.size}"
-        )
+    _check_alphabet(m, alphabet)
     trans, accepting = m.transitions, m.accepting
     verdict = {True: "accepted", False: "rejected"}
     if (m.initial in accepting) != empty:
@@ -263,33 +244,30 @@ def binary_dfa_from_coloring(
     return _quotient(Alphabet.binary(), _binary_runs(g, coloring, params, enc))
 
 
-def _extract_grouping(
-    chains: list[list[int]], g: Graph, L: int
-) -> tuple[Coloring, ChainAnalysis]:
+def _extract_grouping(chains: list[list[int]], g: Graph, L: int) -> Coloring:
     """Group vertices by the last of their chain's L+1 states.
 
-    Consistency makes each class's chain repeat no state and keeps the
-    chains of distinct classes disjoint, so together they hold k_hat(L+1)
-    distinct states; anything less raises ExtractionError.
+    Consistency makes each class's chain (that of its first vertex) repeat
+    no state and keeps the chains of distinct classes disjoint, so together
+    they hold k_hat(L+1) distinct states; anything less raises
+    ExtractionError.
     """
-    ends = [c[-1] for c in chains]
-    colors, k_hat = _group_by_first_occurrence(ends)
-    first: dict[int, tuple[int, ...]] = {}
+    colors, k_hat = _group_by_first_occurrence([c[-1] for c in chains])
+    first: dict[int, list[int]] = {}
     for c, chain in zip(colors, chains):
-        first.setdefault(c, tuple(chain))
-    rep_chains = tuple(first.values())
-    if len(set().union(*rep_chains)) != k_hat * (L + 1):
+        first.setdefault(c, chain)
+    if len(set().union(*first.values())) != k_hat * (L + 1):
         raise ExtractionError("zero-chains revisit a state or overlap across classes; "
                               "the input cannot be consistent")
     coloring = Coloring(tuple(colors), k_hat)
     if not is_proper_coloring(g, coloring):
         raise ExtractionError("consistent DFA produced an improper coloring")
-    return coloring, ChainAnalysis(tuple(ends), k_hat, rep_chains)
+    return coloring
 
 
 def coloring_from_binary_dfa(
     m: Dfa | PartialDfa, g: Graph, params: ReductionParams, enc: Encoding
-) -> tuple[Coloring, ChainAnalysis]:
+) -> Coloring:
     """Group vertices by the state their head + 0^L run reaches.
 
     Run v of `binary_runs` is vertex v's head + 0^L, so its chain is read
@@ -356,8 +334,7 @@ def coloring_from_single_dfa(
         first_block.setdefault(v, b)
     start = params.N + params.head_len - 1
     starts = [first_block.get(v, 0) * B + start for v in range(g.num_vertices)]
-    coloring, _analysis = _extract_grouping([states[i : i + params.L + 1] for i in starts],
-                                            g, params.L)
+    coloring = _extract_grouping([states[i : i + params.L + 1] for i in starts], g, params.L)
     if coloring.num_colors > params.K:
         raise ExtractionError(
             f"extraction found {coloring.num_colors} classes, above K = {params.K}"
@@ -418,7 +395,7 @@ def ratio_report(
     consistent automaton below k_star * L states would yield a proper
     (k_star - 1)-coloring, so k_star * L lower-bounds the optimum size.
     """
-    coloring, _analysis = coloring_from_binary_dfa(heuristic_dfa, g, params, enc)
+    coloring = coloring_from_binary_dfa(heuristic_dfa, g, params, enc)
     k_hat = coloring.num_colors
     m_hat = heuristic_dfa.num_states
     result = chromatic_number(g)

@@ -92,12 +92,12 @@ def test_criterion_3_binary_converse():
             params = default_params(g, k_star)
             enc = make_encoding(g, params)
             w = binary_dfa_from_coloring(g, coloring, params, enc)
-            extracted, analysis = coloring_from_binary_dfa(w.completed(), g, params, enc)
+            extracted = coloring_from_binary_dfa(w.completed(), g, params, enc)
             assert is_proper_coloring(g, extracted), name
             assert extracted.num_colors <= k_star, name
             assert extracted.num_colors * params.L <= w.num_states, name
             pta = prefix_tree_acceptor(binary_sample(g, params, enc)).completed()
-            from_pta, _ = coloring_from_binary_dfa(pta, g, params, enc)
+            from_pta = coloring_from_binary_dfa(pta, g, params, enc)
             assert from_pta.num_colors == g.num_vertices, name
 
 

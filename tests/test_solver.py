@@ -19,7 +19,6 @@ from dfalab import (
     DfaSample,
     Graph,
     PartialDfa,
-    SolveRequest,
     SolveStatus,
     binary_sample,
     brute_force_min,
@@ -51,7 +50,7 @@ def sample(positives, negatives, alphabet=BIN) -> DfaSample:
 
 class TestExistsConsistent:
     def test_demo5_zhang_sat_at_four(self, demo5):
-        out = exists_consistent(SolveRequest(zhang_sample(demo5), 4))
+        out = exists_consistent(zhang_sample(demo5), 4)
         assert out.status is SolveStatus.SAT
         assert isinstance(out.witness, Dfa)
         assert out.witness.num_states <= 4
@@ -60,7 +59,7 @@ class TestExistsConsistent:
         # three states would mean a 2-coloring; the graph has a triangle, so
         # the root and the triangle's vertex nodes are a 4-clique of
         # conflicting tree nodes, and the clique bound decides without search
-        out = exists_consistent(SolveRequest(zhang_sample(demo5), 3))
+        out = exists_consistent(zhang_sample(demo5), 3)
         assert out.status is SolveStatus.UNSAT
         assert out.witness is None
         assert out.states_explored == 0
@@ -68,18 +67,22 @@ class TestExistsConsistent:
     def test_c5_zhang_unsat_at_three_needs_the_search(self):
         # c5 has no triangle: the greedy clique has 3 nodes, so the odd cycle
         # must be refuted by the merge search itself
-        out = exists_consistent(SolveRequest(zhang_sample(Graph.cycle(5)), 3))
+        out = exists_consistent(zhang_sample(Graph.cycle(5)), 3)
         assert out.status is SolveStatus.UNSAT
         assert out.witness is None
         assert out.states_explored > 0
 
+    def test_max_states_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^max_states must be at least 1$"):
+            exists_consistent(sample([()], []), 0)
+
     def test_epsilon_positive_needs_one_state(self):
-        out = exists_consistent(SolveRequest(sample([()], []), 1))
+        out = exists_consistent(sample([()], []), 1)
         assert out.status is SolveStatus.SAT
         assert out.witness.num_states == 1
 
     def test_timeout_is_reported_not_wrong(self, k4):
-        out = exists_consistent(SolveRequest(zhang_sample(k4), 4, time_budget=1e-9))
+        out = exists_consistent(zhang_sample(k4), 4, time_budget=1e-9)
         assert out.status is SolveStatus.TIMEOUT
         assert out.witness is None
 
@@ -89,9 +92,9 @@ class TestExistsConsistent:
         s = zhang_sample(k4)
         pta = _Pta(s)
         pta.search_plan(None)
-        out = exists_consistent(SolveRequest(s, 4, time_budget=1e-9), _pta=pta)
+        out = exists_consistent(s, 4, time_budget=1e-9, _pta=pta)
         assert out.status is SolveStatus.TIMEOUT
-        assert exists_consistent(SolveRequest(s, 4), _pta=pta).status is SolveStatus.UNSAT
+        assert exists_consistent(s, 4, _pta=pta).status is SolveStatus.UNSAT
 
     def test_deadline_interrupts_the_clique_pass(self, k4, monkeypatch):
         # the k4 single string is a 3889-node path, so the plan checks the
@@ -105,13 +108,13 @@ class TestExistsConsistent:
         n = len(pta.labels)
         ticks = itertools.count()
         monkeypatch.setattr(solver.time, "monotonic", lambda: float(next(ticks)))
-        out = exists_consistent(SolveRequest(s, 4, time_budget=n + 1.5), _pta=pta)
+        out = exists_consistent(s, 4, time_budget=n + 1.5, _pta=pta)
         assert out.status is SolveStatus.TIMEOUT
         assert out.states_explored == 0
         assert next(ticks) == n + 3  # the deadline, the check before the plan, n levels, one candidate
         assert pta._plan is None
         monkeypatch.undo()
-        out = exists_consistent(SolveRequest(s, 4), _pta=pta)
+        out = exists_consistent(s, 4, _pta=pta)
         assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 0)
 
     def test_search_plan_memory_is_bounded(self, k4):
@@ -133,7 +136,7 @@ class TestExistsConsistent:
             s = random_sample(rng)
             sat_at = None
             for m in range(1, 5):
-                status = exists_consistent(SolveRequest(s, m)).status
+                status = exists_consistent(s, m).status
                 if sat_at is None and status is SolveStatus.SAT:
                     sat_at = m
                 if sat_at is not None:
@@ -155,7 +158,8 @@ class TestMinConsistent:
         assert min_consistent(s, 3)[0] == 2 == brute_force_min(s)[0]
 
     def test_default_bound_is_the_rpni_size(self, demo5, monkeypatch):
-        def refuse(req, *, _pta=None):  # every m UNSAT, so the bound shows in the error
+        def refuse(_sample, _max_states, _time_budget=None, *, _pta=None):
+            # every m UNSAT, so the bound shows in the error
             return solver.SolveOutcome(SolveStatus.UNSAT, None, 0)
 
         monkeypatch.setattr(solver, "exists_consistent", refuse)
@@ -176,9 +180,9 @@ class TestMinConsistent:
         calls = []
         decide = solver.exists_consistent
 
-        def spy(req, *, _pta=None):
-            calls.append((req.max_states, _pta))
-            return decide(req, _pta=_pta)
+        def spy(s, max_states, time_budget=None, *, _pta=None):
+            calls.append((max_states, _pta))
+            return decide(s, max_states, time_budget, _pta=_pta)
 
         monkeypatch.setattr(solver, "exists_consistent", spy)
         assert min_consistent(zhang_sample(demo5), 6)[0] == 4
@@ -191,14 +195,14 @@ def test_a_budget_that_is_not_positive_is_refused(budget, triangle):
     # a NaN deadline never compares as passed, so it would switch the budget off
     s = zhang_sample(triangle)
     with pytest.raises(ValueError, match="time_budget must be a positive number of seconds"):
-        SolveRequest(s, 4, time_budget=budget)
+        exists_consistent(s, 4, time_budget=budget)
     with pytest.raises(ValueError, match="time_budget must be a positive number of seconds"):
         min_consistent(s, 4, time_budget=budget)
 
 
 def test_an_infinite_budget_has_no_deadline(triangle):
     s = zhang_sample(triangle)
-    assert exists_consistent(SolveRequest(s, 4, time_budget=float("inf"))).status is SolveStatus.SAT
+    assert exists_consistent(s, 4, time_budget=float("inf")).status is SolveStatus.SAT
     assert min_consistent(s, 6, time_budget=float("inf"))[0] == 4
 
 
@@ -291,7 +295,7 @@ def test_deep_prefix_tree_does_not_recurse():
     n = 1100
     assert n > sys.getrecursionlimit()
     s = sample([(0,) * n], [(0,) * k for k in range(n)])
-    out = exists_consistent(SolveRequest(s, n + 1))
+    out = exists_consistent(s, n + 1)
     assert out.status is SolveStatus.SAT
     assert out.witness.num_states == n + 1
 
@@ -322,7 +326,7 @@ ZHANG_PINS = [
 def test_exact_search_steps_and_witness_are_pinned(name, g, explored, rows):
     s = zhang_sample(g)
     for m, steps in enumerate(explored, start=1):
-        out = exists_consistent(SolveRequest(s, m))
+        out = exists_consistent(s, m)
         assert out.states_explored == steps
         expected = SolveStatus.SAT if m == len(explored) else SolveStatus.UNSAT
         assert out.status is expected
@@ -339,9 +343,9 @@ def test_exact_search_steps_are_pinned_on_random_graphs(n, seed, unsat_steps, sa
     g = Graph.gnp(n, 0.5, seed)
     chi = max(coloring)
     s = zhang_sample(g)
-    unsat = exists_consistent(SolveRequest(s, chi))
+    unsat = exists_consistent(s, chi)
     assert (unsat.status, unsat.states_explored) == (SolveStatus.UNSAT, unsat_steps)
-    sat = exists_consistent(SolveRequest(s, chi + 1))
+    sat = exists_consistent(s, chi + 1)
     assert (sat.status, sat.states_explored) == (SolveStatus.SAT, sat_steps)
     assert sat.witness.transitions[0][:n] == coloring
 
@@ -365,7 +369,7 @@ BINARY_UPPER_PINS = [
 def test_binary_upper_side_steps_and_witness_are_pinned(name, g, chi, steps, states, digest):
     params = default_params(g, chi)
     s = binary_sample(g, params, make_encoding(g, params))
-    out = exists_consistent(SolveRequest(s, (chi + 1) * params.L - 1))
+    out = exists_consistent(s, (chi + 1) * params.L - 1)
     assert (out.status, out.states_explored) == (SolveStatus.SAT, steps)
     assert out.witness.num_states == states
     assert hashlib.sha256(automaton_to_json(out.witness).encode()).hexdigest() == digest
@@ -377,7 +381,7 @@ def test_c5_binary_lower_side_steps_are_pinned():
     g = Graph.cycle(5)
     params = default_params(g, 3)
     s = binary_sample(g, params, make_encoding(g, params))
-    out = exists_consistent(SolveRequest(s, 3 * params.L - 1))
+    out = exists_consistent(s, 3 * params.L - 1)
     assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 3_699_000)
 
 
@@ -635,7 +639,7 @@ def test_clique_never_exceeds_the_brute_force_minimum(s):
     if m_star is not None:
         assert len(clique) <= m_star
     for m in range(1, 4):
-        out = exists_consistent(SolveRequest(s, m))
+        out = exists_consistent(s, m)
         assert (out.status is SolveStatus.SAT) == (m_star is not None and m >= m_star)
         if m < len(clique):
             assert out.states_explored == 0

@@ -35,7 +35,8 @@ from dfalab import (
     zhang_dfa_from_coloring,
     zhang_sample,
 )
-from dfalab.witnesses import _extract_grouping, _quotient
+from dfalab.reductions import binary_runs
+from dfalab.witnesses import _extract_grouping, _quotient, _replay
 
 from conftest import suite_graphs
 
@@ -126,22 +127,29 @@ class TestBinaryConverse:
         enc = make_encoding(demo5, params)
         k, coloring = oracle_coloring(demo5)
         w = binary_dfa_from_coloring(demo5, coloring, params, enc)
-        back, analysis = coloring_from_binary_dfa(w.completed(), demo5, params, enc)
+        back = coloring_from_binary_dfa(w.completed(), demo5, params, enc)
         assert is_proper_coloring(demo5, back)
         assert back.num_colors <= k
-        assert analysis.num_classes == back.num_colors
-        assert analysis.num_classes * params.L <= w.num_states
+        assert back.num_colors * params.L <= w.num_states
 
     def test_chain_analysis_invariants(self, demo5):
         params = default_params(demo5, 3)
         enc = make_encoding(demo5, params)
         _k, coloring = oracle_coloring(demo5)
         w = binary_dfa_from_coloring(demo5, coloring, params, enc).completed()
-        _back, analysis = coloring_from_binary_dfa(w, demo5, params, enc)
-        assert len(analysis.end_state_of_vertex) == demo5.num_vertices
+        back = coloring_from_binary_dfa(w, demo5, params, enc)
+        # each vertex's chain is its head + 0^L states on the extractor's replay
+        walks = _replay(w, Alphabet.binary(), binary_runs(demo5, params, enc), False, "test")
+        h, L = params.head_len, params.L
+        chains = [walks[v][h - 1 : h + L] for v in range(demo5.num_vertices)]
+        first = {}
+        for c, chain in zip(back.colors, chains):
+            first.setdefault(c, chain)
+            assert chain[-1] == first[c][-1]  # a class is one end state
+        assert len({chain[-1] for chain in first.values()}) == back.num_colors
         seen = set()
-        for chain in analysis.chain_states:
-            assert len(chain) == params.L + 1
+        for chain in first.values():
+            assert len(chain) == L + 1
             assert len(set(chain)) == len(chain)
             assert not (seen & set(chain))
             seen |= set(chain)
@@ -150,7 +158,7 @@ class TestBinaryConverse:
         params = default_params(demo5, 3)
         enc = make_encoding(demo5, params)
         pta = prefix_tree_acceptor(binary_sample(demo5, params, enc)).completed()
-        back, _ = coloring_from_binary_dfa(pta, demo5, params, enc)
+        back = coloring_from_binary_dfa(pta, demo5, params, enc)
         assert back.num_colors == demo5.num_vertices
 
     def test_triangle_pta_matches_chromatic_number(self, triangle):
@@ -159,7 +167,7 @@ class TestBinaryConverse:
         params = default_params(triangle, 3)
         enc = make_encoding(triangle, params)
         pta = prefix_tree_acceptor(binary_sample(triangle, params, enc)).completed()
-        back, _ = coloring_from_binary_dfa(pta, triangle, params, enc)
+        back = coloring_from_binary_dfa(pta, triangle, params, enc)
         assert back.num_colors == 3 == chromatic_number(triangle)[0]
 
     def test_consistency_is_required(self, triangle):
@@ -182,7 +190,7 @@ class TestBinaryConverse:
             params = default_params(g, 3)
             enc = make_encoding(g, params)
             pta = prefix_tree_acceptor(binary_sample(g, params, enc)).completed()
-            back, _ = coloring_from_binary_dfa(pta, g, params, enc)
+            back = coloring_from_binary_dfa(pta, g, params, enc)
             assert is_proper_coloring(g, back)
 
 
@@ -381,7 +389,7 @@ def test_round_trips_across_the_suite():
         enc = make_encoding(g, params)
         bw = binary_dfa_from_coloring(g, coloring, params, enc)
         assert bw.num_states < (k + 1) * params.L, name
-        extracted, _ = coloring_from_binary_dfa(bw.completed(), g, params, enc)
+        extracted = coloring_from_binary_dfa(bw.completed(), g, params, enc)
         assert extracted.num_colors <= k, name
 
 
@@ -424,9 +432,11 @@ class TestChainsOffTheReplay:
         g = Graph(2, frozenset({(0, 1)}))
         with pytest.raises(ExtractionError, match="overlap"):
             _extract_grouping([[0, 1, 2], [3, 1, 4]], g, 2)
-        coloring, analysis = _extract_grouping([[0, 1, 2], [3, 5, 4]], g, 2)
-        assert coloring.colors == (1, 2)
-        assert analysis.chain_states == ((0, 1, 2), (3, 5, 4))
+        assert _extract_grouping([[0, 1, 2], [3, 5, 4]], g, 2).colors == (1, 2)
+        # only a class's first chain is counted: vertex 2 shares vertex 0's end
+        # state, and its chain's other states are not checked against the rest
+        g3 = Graph(3, frozenset({(0, 1)}))
+        assert _extract_grouping([[0, 1, 2], [3, 5, 4], [3, 1, 2]], g3, 2).colors == (1, 2, 1)
 
     @pytest.mark.parametrize("name,g", suite_graphs(), ids=[n for n, _ in suite_graphs()])
     def test_partial_automata_extract_as_their_completions(self, name, g):
