@@ -385,6 +385,37 @@ def test_c5_binary_lower_side_steps_are_pinned():
     assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 3_699_000)
 
 
+# the bench's zhang-exact graphs: the steps of each m from the clique size
+# up to the first SAT (every m below takes 0) and the witness's sha256
+ZHANG_EXACT_PINS = [
+    ("gnp19-1", 19, 1, 6, (84, 319),
+     "fc4eccae8236282a1ca5ded5cef989d274ea797fb0df51dff6d1393299c563cf"),
+    ("gnp20-0", 20, 0, 6, (90, 329),
+     "6380268c185b0ad87a91336aab72c1890458f30509acd781b9e2ecbd1e8cc84b"),
+    ("gnp21-2", 21, 2, 6, (84, 384),
+     "8805c34cbc855ccccac899392b318b4209abdf566ab114a6407ea6e58c5625ba"),
+    ("gnp23-4", 23, 4, 6, (12, 2229),
+     "628661b8d6e3b4d4eee97de0b346a3cafabecda88d018370e63b6e75846a78fd"),
+    ("gnp24-1", 24, 1, 7, (736,),
+     "f87910e2906e77c75ad3e60ec7c85eb9baaa03db888ca6eae03899730a3a14b3"),
+    ("gnp24-9", 24, 9, 5, (75, 822, 15056, 2733),
+     "ed63a9bd5114239bb25ff5bc4bc32ce31fe07f441bb88f88a9c74dc514874692"),
+]
+
+
+@pytest.mark.parametrize("name, n, seed, first, steps, digest", ZHANG_EXACT_PINS,
+                         ids=[p[0] for p in ZHANG_EXACT_PINS])
+def test_zhang_exact_steps_and_witness_are_pinned(name, n, seed, first, steps, digest):
+    s = zhang_sample(Graph.gnp(n, 0.5, seed))
+    pta = _Pta(s)
+    for m in range(1, first):
+        assert exists_consistent(s, m, _pta=pta).states_explored == 0
+    outs = [exists_consistent(s, m, _pta=pta) for m in range(first, first + len(steps))]
+    assert [out.states_explored for out in outs] == list(steps)
+    assert [out.status for out in outs] == [SolveStatus.UNSAT] * (len(steps) - 1) + [SolveStatus.SAT]
+    assert hashlib.sha256(automaton_to_json(outs[-1].witness).encode()).hexdigest() == digest
+
+
 @st.composite
 def labeled_words(draw, symbols=2, max_len=5):
     """A small sample, prefix-closed or not: binary by default."""
