@@ -184,6 +184,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.max_m < 1:
+        raise ValueError("--max-m must be at least 1")
+    if args.budget is not None and not args.budget > 0:  # NaN included
+        raise ValueError("--budget must be a positive number of seconds")
     sample = sample_from_abbadingo(Path(args.sample).read_text())
     if args.minimize:
         try:

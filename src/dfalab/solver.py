@@ -20,7 +20,12 @@ recursion limit.
 
 One class holds the search: a union-find over tree nodes with a label
 and transitions per class, the committed classes, and an undo trail of
-one record per merge; backtracking pops records to a mark.
+one record per merge; backtracking pops records to a mark.  A node's
+admissible classes are listed once, when the search reaches the node,
+and a return to the node after backtracking resumes that list.  A fold
+into a class that shares no symbol with the node's class needs no
+closure and is done in place as one merge, with the same label test and
+the same trail record as the general fold.
 
 The conflict relation is computed when the tree is wrapped, as one int
 per node whose bit v says whether that node conflicts with node v: n^2
@@ -229,12 +234,15 @@ class _MergeSearch:
         identify two distinct committed classes; the caller must undo to
         its trail mark either way.
         """
-        rep, label, trans, rank, crow = self.rep, self.label, self.trans, self.rank, self.crow
+        rep, label, trans, rank, crow, trail = (
+            self.rep, self.label, self.trans, self.rank, self.crow, self.trail)
         queue = [(keep, drop)]
         while queue:
             x, y = queue.pop()
-            x = self.find(x)
-            y = self.find(y)
+            while rep[x] != x:
+                x = rep[x]
+            while rep[y] != y:
+                y = rep[y]
             if x == y:
                 continue
             if y in rank:
@@ -259,18 +267,20 @@ class _MergeSearch:
                     added.append(sym)
                 else:
                     queue.append((cur, target))
-            self.trail.append((y, x, added, relabeled, old))
+            trail.append((y, x, added, relabeled, old))
         return True
 
     def undo(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            dropped, kept, added, relabeled, old = self.trail.pop()
-            self.rep[dropped] = dropped
-            self.crow[kept] = old
+        rep, label, trans, crow, trail = self.rep, self.label, self.trans, self.crow, self.trail
+        for _ in range(len(trail) - mark):
+            dropped, kept, added, relabeled, old = trail.pop()
+            rep[dropped] = dropped
+            crow[kept] = old
+            tk = trans[kept]
             for sym in added:
-                del self.trans[kept][sym]
+                del tk[sym]
             if relabeled:
-                self.label[kept] = 0  # a kept root takes a label only when it had none
+                label[kept] = 0  # a kept root takes a label only when it had none
 
     def materialize(self, alphabet) -> PartialDfa:
         roots: list[int] = []
@@ -290,21 +300,6 @@ class _MergeSearch:
         accepting = frozenset(index[r] for r in roots if self.label[r] == 1)
         return PartialDfa(len(roots), alphabet, index[self.find(0)], tuple(rows), accepting)
 
-    def candidates(self, row: int, first: int) -> list[int]:
-        """The committed roots of rank `first` or more outside `row`, in
-        creation order."""
-        rank = self.rank
-        found = []
-        rest = self.redmask & ~row
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            red = low.bit_length() - 1
-            if rank[red] >= first:
-                found.append(red)
-        found.sort(key=rank.__getitem__)
-        return found
-
     def run(self) -> bool:
         """Depth-first search over merge choices with an explicit stack.
 
@@ -315,42 +310,83 @@ class _MergeSearch:
         the committed roots of rank below that count.  Clique nodes are
         classes from the start and get no frame.  A class is counted as
         tried but never folded, since the fold would fail, when its root is
-        in the node's class row (one mask against `redmask`) or the node is
-        in its class row.
+        in the node's class row or the node is in its class row.
+
+        The frame's admissible classes, those that pass both row tests, are
+        listed once when the frame is pushed, newest last so that popping
+        takes them in creation order; the list is the frame's cursor.  A
+        revisit may resume it because it first undoes to the frame's mark,
+        which restores every class row, and the frames above it have closed
+        the classes they opened, which leaves the committed classes of rank
+        below the count: every input of the list is as it was at the push.
+
+        A fold into a class that shares no symbol with the node's class has
+        nothing to close: it is one merge, done here in place, which leaves
+        the same classes and pushes the same trail record as `fold`.  It
+        keeps fold's label test, since the row tests read only the roots'
+        bits: two classes whose roots are unlabeled may still hold opposite
+        labels.
         """
-        order, crow, rank, trail = self.order, self.crow, self.rank, self.trail
-        frames: list[list[int]] = []  # [order index, node, class count, choices taken, trail mark]
-        idx = 0
+        order, rep, label, trans, crow, rank, trail = (
+            self.order, self.rep, self.label, self.trans, self.crow, self.rank, self.trail)
+        deadline, max_states = self.deadline, self.max_states
+        # [order index, node, class count, choices taken, trail mark, admissible roots left]
+        frames: list[list] = []
+        idx, end = 0, len(order)
         while True:
-            _check_deadline(self.deadline)
-            while idx < len(order) and self.find(order[idx]) != order[idx]:
+            if deadline is not None:
+                _check_deadline(deadline)
+            while idx < end and rep[order[idx]] != order[idx]:
                 idx += 1
-            if idx == len(order):
+            if idx == end:
                 return True
             node = order[idx]
-            frames.append([idx, node, len(rank), 0, len(trail)])
+            rest = self.redmask & ~crow[node]
+            admissible = []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                red = low.bit_length() - 1
+                if not crow[red] >> node & 1:
+                    admissible.append(red)
+            admissible.sort(key=rank.__getitem__, reverse=True)
+            frames.append([idx, node, len(rank), 0, len(trail), admissible])
             while frames:
                 frame = frames[-1]
-                idx, node, count, taken, mark = frame
-                if taken > count:
+                idx, node, count, first, mark, admissible = frame
+                if first > count:
                     self.uncommit(node)
                     frames.pop()
                     continue
-                self.undo(mark)
-                first = taken
-                for red in self.candidates(crow[node], first):
-                    if crow[red] >> node & 1:
-                        continue
+                if len(trail) > mark:
+                    self.undo(mark)
+                tn, ln = trans[node], label[node]
+                taken = count + 1
+                while admissible:
+                    red = admissible.pop()
+                    tr = trans[red]
+                    if tr.keys().isdisjoint(tn):  # no shared symbol: the fold is one merge
+                        lr = label[red]
+                        if lr and ln and lr != ln:
+                            continue
+                        rep[node] = red
+                        old = crow[red]
+                        crow[red] = old | crow[node]
+                        if not lr:
+                            label[red] = ln
+                        tr.update(tn)
+                        trail.append((node, red, list(tn), not lr, old))
+                        taken = rank[red] + 1
+                        break
                     if self.fold(red, node):
                         taken = rank[red] + 1
                         break
                     self.undo(mark)
                 else:
-                    if count >= self.max_states:
+                    if count >= max_states:
                         self.explored += count - first
                         frames.pop()
                         continue
-                    taken = count + 1
                     self.commit(node)
                 self.explored += taken - first  # one step per choice tried, skipped ones too
                 frame[3] = taken

@@ -105,16 +105,17 @@ class TestSolve:
         assert main(["solve", str(out), "--max-m", "4", f"--budget={budget}", *minimize]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: time_budget must be a positive number of seconds\n"
+        assert captured.err == "error: --budget must be a positive number of seconds\n"
 
     def test_a_state_bound_below_one_is_usage_error(self, k3_col, tmp_path, capsys):
         out = tmp_path / "z.abb"
         main(["reduce", "zhang", "--graph", k3_col, "--out", str(out)])
         capsys.readouterr()
-        assert main(["solve", str(out), "--max-m", "0"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: max_states must be at least 1\n"
+        for minimize in ([], ["--minimize"]):  # one message for the flag in both modes
+            assert main(["solve", str(out), "--max-m", "0", *minimize]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --max-m must be at least 1\n"
 
     def test_an_infinite_budget_has_no_deadline(self, k3_col, tmp_path):
         out = tmp_path / "z.abb"

@@ -600,6 +600,49 @@ def test_rpni_matches_fold_only_greedy_on_binary_samples(kind, g, K):
     assert rpni(s) == _greedy_folds(s).completed()
 
 
+def _check_merges_match_fold(s: DfaSample) -> None:
+    """A finished search's merges, in-place or not, replayed by `fold` from
+    the same committed classes give the same trail records and classes: for
+    the search as rpni runs it and the exact search at each m from the
+    clique size to 6."""
+    pta = _Pta(s)
+    order, clique = pta.search_plan(None)
+    searches = [_unbounded_search(pta)]
+    searches += [_MergeSearch(pta, order, clique, m, None) for m in range(len(clique), 7)]
+    for search in searches:
+        if not search.run():
+            continue
+        twin = _unbounded_search(pta)
+        for root in search.rank:
+            twin.commit(root)
+        for dropped, kept, *_ in search.trail:
+            assert twin.fold(kept, dropped)  # a closure's later records fold nothing
+        assert twin.trail == search.trail
+        assert _classes(twin) == _classes(search)
+
+
+@settings(max_examples=150, deadline=None)
+@given(labeled_words())
+def test_search_merges_match_fold(s):
+    _check_merges_match_fold(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ternary_words)
+def test_search_merges_match_fold_on_three_symbols(s):
+    _check_merges_match_fold(s)
+
+
+def test_a_merge_without_closure_still_tests_the_labels():
+    # folding 0 into the root closes the negative 01 into the class of 1 and
+    # the positive 0010 into the class of 10; the unlabeled roots 1 and 10
+    # pass both row tests and share no symbol, so only the label test keeps
+    # the class of 10 out of the class of 1
+    s = sample({(0, 0, 1, 0), (1, 0, 1)}, {(0, 1)})
+    assert rpni(s) == _greedy_folds(s).completed()
+    assert is_consistent(rpni(s), s)
+
+
 def _depths(pta: _Pta) -> list[int]:
     depth = [0] * len(pta.labels)
     for node in pta.bfs:
