@@ -190,6 +190,44 @@ class TestMinConsistent:
         assert len({id(pta) for _, pta in calls}) == 1 and calls[0][1] is not None
 
 
+def _seeded_sample(seed: int) -> DfaSample:
+    """Random sample `seed`: binary for even seeds, ternary for odd ones,
+    prefix-closed for seeds 2 and 3 mod 4."""
+    rng = random.Random(seed)
+    symbols = 2 + seed % 2
+    words = {tuple(rng.randrange(symbols) for _ in range(rng.randint(0, 6)))
+             for _ in range(rng.randint(1, 8))}
+    if seed // 2 % 2:
+        words = {w[:i] for w in words for i in range(len(w) + 1)}
+    pos = frozenset(w for w in words if rng.random() < 0.5)
+    return sample(pos, frozenset(words) - pos, Alphabet(symbols))
+
+
+# m* of `_seeded_sample(seed)` for seeds 0..299, one digit each: verdicts,
+# not steps, so a change to how the search branches must leave them alone
+RANDOM_MIN_PINS = (
+    "311422352225313232532234334522431256326533423235216322431143"
+    "333532333136131623533367222431433242324532561344227341543213"
+    "125212222243237741522166234331552354334411441135126623251233"
+    "218231452332226511251264321321453263223432242274124112454361"
+    "125432343365136243222285324331364243225521311272224523252246"
+)
+
+
+def test_min_consistent_is_pinned_on_seeded_random_samples():
+    assert "".join(str(min_consistent(_seeded_sample(seed))[0]) for seed in range(300)) == RANDOM_MIN_PINS
+
+
+def test_a_labeled_leaf_that_gains_transitions_is_placed():
+    # the leaf 002 is positive, like a clique node, but a closure merges it
+    # with a node that has children: it must then be placed like any other
+    # class, not only merged into a clique class at the end
+    s = sample({(0, 0, 2), (1, 0)}, {(), (0, 0, 0), (1, 0, 0), (1, 2, 0, 2, 2), (2, 0, 1, 2, 2)}, Alphabet(3))
+    m_star, witness = min_consistent(s)
+    assert m_star == 3
+    assert is_consistent(witness, s)
+
+
 @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
 def test_a_budget_that_is_not_positive_is_refused(budget, triangle):
     # a NaN deadline never compares as passed, so it would switch the budget off
