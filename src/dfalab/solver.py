@@ -5,18 +5,24 @@ RPNI merge baseline.
 The exact search folds the sample's prefix tree into at most m classes
 with determinization closure.  Any such quotient properly colors the
 tree's conflict graph (two nodes conflict when some suffix gives them
-opposite labels), and the search uses that graph twice.  Nodes are taken
-level by level in breadth-first order, and within a level by descending
-number of conflicts inside the level, ties by breadth-first position, so
-parents still come before children.  A greedy clique over that order
-(a node joins when it conflicts with every node already in) is a lower
-bound: more clique nodes than m decides UNSAT at once.  Otherwise the
-clique nodes are fixed as the first classes, which breaks class-renaming
-symmetry.  Every other node may join an existing class (tried in
-ascending creation order) or open the next class index.  The search is
-sequential and therefore deterministic, and it keeps its choices on an
-explicit stack, so tree depth is not bounded by the interpreter's
-recursion limit.
+opposite labels), and the search uses that graph three times.  Nodes are
+ordered level by level in breadth-first order, and within a level by
+descending number of conflicts inside the level, ties by breadth-first
+position.  A greedy clique over that order (a node joins when it
+conflicts with every node already in) is a lower bound: more clique nodes
+than m decides UNSAT at once.  Otherwise the clique nodes are fixed as the
+first classes, which breaks class-renaming symmetry.  The search then
+branches fail-first, by DSATUR's rule (Brelaz 1979) as exbar does (Lang
+1999): on a node that no committed class admits, else on one that exactly
+one class admits, else on the next node of the order.  That node may join
+an existing class (tried in ascending creation order) or open the next
+class index.  The nodes no class admits must each open a class, so a
+greedy clique among them larger than the classes left to open is a dead
+end (the forced-class bound).  A childless labeled node is not branched
+on when a clique node has its label: it joins that clique node's class at
+the end, a merge that cannot fail.  The search is sequential and
+therefore deterministic, and it keeps its choices on an explicit stack, so
+tree depth is not bounded by the interpreter's recursion limit.
 
 One class holds the search: a union-find over tree nodes with a label
 and transitions per class, the committed classes, and an undo trail of
@@ -37,8 +43,9 @@ those whose class row holds the node; a class left out still counts in
 `states_explored`.
 
 RPNI is the same search's first descent: plain breadth-first order, no
-clique and no state bound below the tree size, so it never backtracks and
-never builds the exact search's order or clique.
+clique, no fail-first choice or bound, and no state bound below the tree
+size, so it never backtracks and never builds the exact search's order or
+clique.
 """
 from __future__ import annotations
 
@@ -65,7 +72,9 @@ class SolveOutcome:
     node passed at its frame, in creation order, whether it folded into the
     class, skipped it by its class row or failed the fold, and one per class
     opened.  So a dead end, where no class left admits the node and m are
-    open, adds every class not yet passed.  A clique-bound UNSAT takes 0."""
+    open, adds every class not yet passed.  A clique-bound UNSAT takes 0,
+    and so do a dead end found by the forced-class bound, before any node
+    is tried, and the merge of a deferred labeled leaf at the end."""
 
     status: SolveStatus
     witness: Dfa | None
@@ -193,22 +202,34 @@ class _MergeSearch:
     first the tree's rows (the ints shared).  A merge ORs the dropped
     root's into the kept root's; its undo puts the old value back, since an
     OR cannot be taken out.  Nothing reads `crow` at a root once dropped.
+
+    A childless node labeled like some clique node is deferred: it is left
+    out of `order` and placed only at the end (see `run`).  `fail_first`
+    selects the exact search's node choice and forced-class bound; without
+    it `run` takes the nodes in `order`, as `rpni` does.
     """
 
     def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
-                 deadline: float | None):
+                 deadline: float | None, fail_first: bool):
         self.crow = list(pta.rows)
         self.rep = list(range(len(pta.children)))
         self.label = list(pta.labels)
         self.trans = [dict(ch) for ch in pta.children]
         self.rank: dict[int, int] = {}
         self.redmask = 0
+        self.home: dict[int, int] = {}  # label -> the first clique node with it
         for node in clique:  # the first classes, fixed
             self.commit(node)
+            if pta.labels[node]:
+                self.home.setdefault(pta.labels[node], node)
         self.trail: list[tuple[int, int, list[int], bool, int]] = []
-        self.order = [node for node in order if node not in self.rank]
+        self.deferred = [node for node in order if node not in self.rank
+                         and not pta.children[node] and pta.labels[node] in self.home]
+        deferred = set(self.deferred)
+        self.order = [node for node in order if node not in self.rank and node not in deferred]
         self.max_states = max_states
         self.deadline = deadline
+        self.fail_first = fail_first
         self.explored = 0
 
     def commit(self, root: int) -> None:
@@ -326,34 +347,89 @@ class _MergeSearch:
         keeps fold's label test, since the row tests read only the roots'
         bits: two classes whose roots are unlabeled may still hold opposite
         labels.
+
+        Without `fail_first` the next node is the first root of `order`
+        not yet placed.  With it, `unplaced` holds the uncommitted roots
+        that are not deferred childless nodes, saved in each frame as it was
+        at the push: a revisit restores it with the trail, and a choice takes
+        out the node and each root its closure dropped, and puts in each
+        deferred root a merge gave transitions.  One pass over the committed
+        classes finds `zero`, the unplaced nodes in every class row, and
+        `one`, those outside exactly one.  A node of `zero` can join no
+        committed class now or later (class rows only grow), and two of them
+        one of whose class rows holds the other can never share a class.  So
+        when a greedy clique of such nodes over `zero` is larger than the
+        classes left to open, no completion fits in m: the search backtracks
+        without a frame.  Otherwise it branches on the lowest node of
+        `zero`, else of `one`, else on the first unplaced node of `order`
+        (the cursor is kept in the frame), else on the lowest unplaced node.
+
+        When nothing is unplaced, each deferred node still a root,
+        uncommitted and without transitions joins the first clique class
+        with its label l.  That merge needs no closure.  It cannot clash: the
+        node's class holds only childless nodes labeled l or unlabeled, whose
+        rows are the nodes labeled -l, which the clique node's row holds too,
+        and the clique class cannot hold a node labeled -l.  For the same
+        reason it leaves the clique class's row as it was.  So every path
+        that places the other roots within m classes ends in a valid
+        quotient, and deferring loses no solution.
         """
         order, rep, label, trans, crow, rank, trail = (
             self.order, self.rep, self.label, self.trans, self.crow, self.rank, self.trail)
-        deadline, max_states = self.deadline, self.max_states
-        # [order index, node, class count, choices taken, trail mark, admissible roots left]
+        deadline, max_states, fail_first = self.deadline, self.max_states, self.fail_first
+        # [order cursor, node, class count, choices taken, trail mark, admissible roots left, unplaced]
         frames: list[list] = []
         idx, end = 0, len(order)
+        unplaced = sum(1 << node for node in order) if fail_first else 0
         while True:
             if deadline is not None:
                 _check_deadline(deadline)
-            while idx < end and rep[order[idx]] != order[idx]:
+            while idx < end and (rep[order[idx]] != order[idx] or order[idx] in rank):
                 idx += 1
-            if idx == end:
+            if fail_first:
+                if not unplaced:
+                    self._place_deferred()
+                    return True
+                once = twice = 0
+                for red in rank:
+                    fits = unplaced & ~crow[red]
+                    twice |= once & fits
+                    once |= fits
+                zero = unplaced & ~once
+                room, members, rest = max_states - len(rank), 0, zero
+                while rest and room >= 0:  # a greedy clique over zero, as long as it fits
+                    low = rest & -rest
+                    rest ^= low
+                    if crow[low.bit_length() - 1] & members == members:
+                        members |= low
+                        room -= 1
+                pick = zero or once & ~twice
+                if room < 0:  # more forced classes than classes left: a dead end
+                    node = None
+                elif pick:
+                    node = (pick & -pick).bit_length() - 1
+                elif idx < end:
+                    node = order[idx]
+                else:  # a deferred root a merge gave transitions after the cursor passed it
+                    node = (unplaced & -unplaced).bit_length() - 1
+            elif idx == end:
                 return True
-            node = order[idx]
-            rest = self.redmask & ~crow[node]
-            admissible = []
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                red = low.bit_length() - 1
-                if not crow[red] >> node & 1:
-                    admissible.append(red)
-            admissible.sort(key=rank.__getitem__, reverse=True)
-            frames.append([idx, node, len(rank), 0, len(trail), admissible])
+            else:
+                node = order[idx]
+            if node is not None:
+                rest = self.redmask & ~crow[node]
+                admissible = []
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    red = low.bit_length() - 1
+                    if not crow[red] >> node & 1:
+                        admissible.append(red)
+                admissible.sort(key=rank.__getitem__, reverse=True)
+                frames.append([idx, node, len(rank), 0, len(trail), admissible, unplaced])
             while frames:
                 frame = frames[-1]
-                idx, node, count, first, mark, admissible = frame
+                idx, node, count, first, mark, admissible, unplaced = frame
                 if first > count:
                     self.uncommit(node)
                     frames.pop()
@@ -388,12 +464,28 @@ class _MergeSearch:
                         frames.pop()
                         continue
                     self.commit(node)
+                if fail_first:
+                    unplaced ^= 1 << node
+                    for dropped, kept, added, _relabeled, _old in trail[mark + 1:]:  # the closure's
+                        unplaced &= ~(1 << dropped)
+                        if added and kept not in rank:
+                            unplaced |= 1 << kept
                 self.explored += taken - first  # one step per choice tried, skipped ones too
                 frame[3] = taken
-                idx += 1
                 break
             else:
                 return False
+
+    def _place_deferred(self) -> None:
+        """Merge each deferred node still a root, uncommitted and without
+        transitions into the first clique class with its label, as `fold`
+        would, trail record included (`run` says why this is sound)."""
+        rep, crow, rank, trans, home = self.rep, self.crow, self.rank, self.trans, self.home
+        for node in self.deferred:
+            if rep[node] == node and node not in rank and not trans[node]:
+                keep = home[self.label[node]]
+                rep[node] = keep
+                self.trail.append((node, keep, [], False, crow[keep]))
 
 
 def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | None = None,
@@ -431,7 +523,7 @@ def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | N
         order, clique = pta.search_plan(deadline)
         if len(clique) > max_states:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
-        search = _MergeSearch(pta, order, clique, max_states, deadline)
+        search = _MergeSearch(pta, order, clique, max_states, deadline, True)
         sat = search.run()
     except _Timeout:
         return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
@@ -524,7 +616,7 @@ def brute_force_min(sample: DfaSample, m_max: int = 3) -> tuple[int, Dfa]:
 def _rpni_search(pta: _Pta, deadline: float | None) -> _MergeSearch:
     """The first descent over breadth-first order, run: every class it
     keeps is committed, one per state of the RPNI automaton."""
-    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), deadline)
+    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), deadline, False)
     search.run()
     return search
 
