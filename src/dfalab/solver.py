@@ -327,8 +327,8 @@ class _MergeSearch:
         A frame holds one tree node's choices: each class existing when the
         node was reached, in creation order, then a new class.  Classes are
         a stack (opened by commit, closed by uncommit on backtrack), so a
-        frame keeps only their count: while it is on top, its classes are
-        the committed roots of rank below that count.  Clique nodes are
+        frame keeps none of them: while it is on top, its classes are the
+        committed roots other than its node.  Clique nodes are
         classes from the start and get no frame.  A class is counted as
         tried but never folded, since the fold would fail, when its root is
         in the node's class row or the node is in its class row.
@@ -338,8 +338,8 @@ class _MergeSearch:
         takes them in creation order; the list is the frame's cursor.  A
         revisit may resume it because it first undoes to the frame's mark,
         which restores every class row, and the frames above it have closed
-        the classes they opened, which leaves the committed classes of rank
-        below the count: every input of the list is as it was at the push.
+        the classes they opened, which leaves the committed classes as they
+        were at the push: every input of the list is as it was then.
 
         A fold into a class that shares no symbol with the node's class has
         nothing to close: it is one merge, done here in place, which leaves
@@ -377,7 +377,7 @@ class _MergeSearch:
         order, rep, label, trans, crow, rank, trail = (
             self.order, self.rep, self.label, self.trans, self.crow, self.rank, self.trail)
         deadline, max_states, fail_first = self.deadline, self.max_states, self.fail_first
-        # [order cursor, node, class count, choices taken, trail mark, admissible roots left, unplaced]
+        # [order cursor, node, choices taken, trail mark, admissible roots left, unplaced]
         frames: list[list] = []
         idx, end = 0, len(order)
         unplaced = sum(1 << node for node in order) if fail_first else 0
@@ -426,14 +426,15 @@ class _MergeSearch:
                     if not crow[red] >> node & 1:
                         admissible.append(red)
                 admissible.sort(key=rank.__getitem__, reverse=True)
-                frames.append([idx, node, len(rank), 0, len(trail), admissible, unplaced])
+                frames.append([idx, node, 0, len(trail), admissible, unplaced])
             while frames:
                 frame = frames[-1]
-                idx, node, count, first, mark, admissible, unplaced = frame
-                if first > count:
+                idx, node, first, mark, admissible, unplaced = frame
+                if node in rank:  # it has opened a class, its last choice
                     self.uncommit(node)
                     frames.pop()
                     continue
+                count = len(rank)
                 if len(trail) > mark:
                     self.undo(mark)
                 tn, ln = trans[node], label[node]
@@ -471,7 +472,7 @@ class _MergeSearch:
                         if added and kept not in rank:
                             unplaced |= 1 << kept
                 self.explored += taken - first  # one step per choice tried, skipped ones too
-                frame[3] = taken
+                frame[2] = taken
                 break
             else:
                 return False
