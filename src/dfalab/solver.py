@@ -368,8 +368,8 @@ class _MergeSearch:
         uncommitted and without transitions joins the first clique class
         with its label l.  That merge needs no closure.  It cannot clash: the
         node's class holds only childless nodes labeled l or unlabeled, whose
-        rows are the nodes labeled -l, which the clique node's row holds too,
-        and the clique class cannot hold a node labeled -l.  For the same
+        rows hold only nodes labeled -l, all of which the clique node's row
+        holds too, and the clique class holds no node labeled -l.  For the same
         reason it leaves the clique class's row as it was.  So every path
         that places the other roots within m classes ends in a valid
         quotient, and deferring loses no solution.
@@ -467,7 +467,7 @@ class _MergeSearch:
                     self.commit(node)
                 if fail_first:
                     unplaced ^= 1 << node
-                    for dropped, kept, added, _relabeled, _old in trail[mark + 1:]:  # the closure's
+                    for dropped, kept, added, _relabeled, _old in trail[mark + 1:]:  # its closure's merges
                         unplaced &= ~(1 << dropped)
                         if added and kept not in rank:
                             unplaced |= 1 << kept
