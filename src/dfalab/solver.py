@@ -384,12 +384,16 @@ class _MergeSearch:
         while True:
             if deadline is not None:
                 _check_deadline(deadline)
-            while idx < end and (rep[order[idx]] != order[idx] or order[idx] in rank):
-                idx += 1
-            if fail_first:
-                if not unplaced:
-                    self._place_deferred()
+            if not fail_first:
+                while idx < end and rep[order[idx]] != order[idx]:
+                    idx += 1
+                if idx == end:
                     return True
+                node = order[idx]
+            elif not unplaced:
+                self._place_deferred()
+                return True
+            else:
                 once = twice = 0
                 for red in rank:
                     fits = unplaced & ~crow[red]
@@ -408,14 +412,11 @@ class _MergeSearch:
                     node = None
                 elif pick:
                     node = (pick & -pick).bit_length() - 1
-                elif idx < end:
-                    node = order[idx]
-                else:  # a deferred root a merge gave transitions after the cursor passed it
-                    node = (unplaced & -unplaced).bit_length() - 1
-            elif idx == end:
-                return True
-            else:
-                node = order[idx]
+                else:
+                    while idx < end and not unplaced >> order[idx] & 1:
+                        idx += 1
+                    # past the end: a deferred root a merge gave transitions after the cursor passed it
+                    node = order[idx] if idx < end else (unplaced & -unplaced).bit_length() - 1
             if node is not None:
                 rest = self.redmask & ~crow[node]
                 admissible = []
@@ -471,6 +472,8 @@ class _MergeSearch:
                         unplaced &= ~(1 << dropped)
                         if added and kept not in rank:
                             unplaced |= 1 << kept
+                else:
+                    idx += 1
                 self.explored += taken - first  # one step per choice tried, skipped ones too
                 frame[2] = taken
                 break
