@@ -415,7 +415,7 @@ class _MergeSearch:
                 else:
                     while idx < end and not unplaced >> order[idx] & 1:
                         idx += 1
-                    # past the end: a deferred root a merge gave transitions after the cursor passed it
+                    # past the end: a deferred root given transitions after the cursor passed it
                     node = order[idx] if idx < end else (unplaced & -unplaced).bit_length() - 1
             if node is not None:
                 rest = self.redmask & ~crow[node]
@@ -468,7 +468,7 @@ class _MergeSearch:
                     self.commit(node)
                 if fail_first:
                     unplaced ^= 1 << node
-                    for dropped, kept, added, _relabeled, _old in trail[mark + 1:]:  # its closure's merges
+                    for dropped, kept, added, _relabeled, _old in trail[mark + 1:]:  # the closure
                         unplaced &= ~(1 << dropped)
                         if added and kept not in rank:
                             unplaced |= 1 << kept

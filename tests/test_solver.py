@@ -215,14 +215,16 @@ RANDOM_MIN_PINS = (
 
 
 def test_min_consistent_is_pinned_on_seeded_random_samples():
-    assert "".join(str(min_consistent(_seeded_sample(seed))[0]) for seed in range(300)) == RANDOM_MIN_PINS
+    got = "".join(str(min_consistent(_seeded_sample(seed))[0]) for seed in range(300))
+    assert got == RANDOM_MIN_PINS
 
 
 def test_a_labeled_leaf_that_gains_transitions_is_placed():
-    # the leaf 002 is positive, like a clique node, but a closure merges it
-    # with a node that has children: it must then be placed like any other
-    # class, not only merged into a clique class at the end
-    s = sample({(0, 0, 2), (1, 0)}, {(), (0, 0, 0), (1, 0, 0), (1, 2, 0, 2, 2), (2, 0, 1, 2, 2)}, Alphabet(3))
+    # the leaf 100 is negative, like a clique node, so the exact search
+    # leaves it for the end; but a closure merges it with a node that has
+    # children, and it must then be placed like any other class
+    s = sample({(0, 0, 2), (1, 0)}, {(), (0, 0, 0), (1, 0, 0), (1, 2, 0, 2, 2), (2, 0, 1, 2, 2)},
+               Alphabet(3))
     m_star, witness = min_consistent(s)
     assert m_star == 3
     assert is_consistent(witness, s)
@@ -690,7 +692,8 @@ def test_search_merges_match_fold(s):
 # the sample above over three symbols, and one where a deferred leaf gains
 # transitions by a closure (see test_a_labeled_leaf_that_gains_transitions_is_placed)
 @example(sample({(0, 0, 1, 0), (1, 0, 1)}, {(0, 1)}, Alphabet(3)))
-@example(sample({(0, 0, 2), (1, 0)}, {(), (0, 0, 0), (1, 0, 0), (1, 2, 0, 2, 2), (2, 0, 1, 2, 2)}, Alphabet(3)))
+@example(sample({(0, 0, 2), (1, 0)}, {(), (0, 0, 0), (1, 0, 0), (1, 2, 0, 2, 2), (2, 0, 1, 2, 2)},
+               Alphabet(3)))
 @settings(max_examples=150, deadline=None)
 @given(ternary_words)
 def test_search_merges_match_fold_on_three_symbols(s):
