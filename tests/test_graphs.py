@@ -124,6 +124,48 @@ class TestChromaticNumber:
             assert chromatic_number(g, upper_bound=bound) == (1, Coloring((1,) * n, 1))
 
 
+# chi of Graph.gnp(n, p, seed) for n = 1..25 (one line each), p in 0.2, 0.5,
+# 0.8 and seeds 0..3, as the static-order branch and bound computed them
+CHROMATIC_PINS = (
+    1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+    1, 2, 1, 1, 1, 2, 1, 2, 1, 2, 1, 2,
+    1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 3,
+    1, 2, 2, 2, 2, 3, 2, 2, 3, 3, 2, 4,
+    1, 2, 2, 2, 2, 2, 2, 3, 4, 4, 3, 4,
+    1, 2, 2, 2, 3, 3, 3, 4, 4, 5, 5, 5,
+    1, 2, 2, 2, 3, 3, 3, 3, 4, 4, 5, 4,
+    2, 2, 2, 2, 3, 4, 3, 3, 4, 5, 5, 6,
+    2, 3, 3, 2, 3, 5, 3, 4, 4, 6, 5, 5,
+    2, 3, 2, 2, 4, 5, 4, 4, 5, 6, 5, 6,
+    2, 3, 2, 2, 4, 4, 4, 4, 6, 6, 6, 6,
+    2, 3, 3, 2, 4, 4, 4, 3, 6, 6, 7, 6,
+    3, 4, 2, 3, 4, 5, 4, 4, 7, 8, 7, 6,
+    3, 3, 3, 3, 3, 5, 4, 4, 6, 8, 6, 7,
+    2, 3, 3, 3, 4, 5, 4, 4, 7, 8, 7, 7,
+    3, 3, 3, 3, 4, 4, 5, 4, 8, 8, 8, 7,
+    3, 3, 3, 3, 4, 5, 5, 4, 7, 9, 8, 8,
+    3, 3, 3, 3, 5, 7, 5, 5, 8, 9, 9, 8,
+    3, 3, 3, 3, 5, 6, 5, 5, 8, 12, 8, 9,
+    3, 3, 4, 3, 6, 6, 6, 5, 9, 10, 9, 9,
+    4, 3, 4, 3, 6, 5, 6, 5, 10, 11, 11, 9,
+    4, 4, 4, 3, 6, 6, 6, 5, 10, 9, 10, 9,
+    3, 3, 4, 4, 6, 6, 6, 6, 9, 11, 9, 9,
+    4, 4, 4, 4, 7, 6, 6, 6, 10, 12, 11, 11,
+    4, 4, 4, 3, 6, 6, 7, 6, 10, 10, 11, 10,
+)
+
+
+def test_chromatic_number_is_pinned_on_seeded_random_graphs():
+    graphs = [Graph.gnp(n, p, seed=s) for n in range(1, 26) for p in (0.2, 0.5, 0.8)
+              for s in range(4)]
+    got = []
+    for g in graphs:
+        k, witness = chromatic_number(g)
+        assert witness.num_colors == k and is_proper_coloring(g, witness)
+        got.append(k)
+    assert tuple(got) == CHROMATIC_PINS
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 7), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 10**6))
 def test_upper_bound_matches_the_exhaustive_oracle(n, p, seed):
