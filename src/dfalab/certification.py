@@ -16,7 +16,7 @@ from .automata import (
     prefix_completeness,
     prefix_tree_acceptor,
 )
-from .graphs import Graph, chromatic_number
+from .graphs import Graph, chromatic_number, colorable
 from .reductions import (
     ReductionParams,
     binary_sample,
@@ -117,9 +117,8 @@ def _binary(g: Graph, k: int, params: ReductionParams, ratio: bool) -> Iterator[
     sample = binary_sample(g, params, enc)
     yield Check("reduction sample is prefix-complete",
                 prefix_completeness(sample) is PrefixCompleteness.COMPLETE)
-    found = chromatic_number(g, upper_bound=k)
-    yield Check(f"graph admits a {k}-coloring", found is not None)
-    _k_star, coloring = found
+    coloring = colorable(g, k)
+    yield Check(f"graph admits a {k}-coloring", coloring is not None)
     witness = binary_dfa_from_coloring(g, coloring, params, enc)
     bound = (k + 1) * params.L
     yield Check("forward witness is consistent", not consistency_violations(witness, sample))
@@ -161,9 +160,8 @@ def _single(g: Graph, k: int, params: ReductionParams) -> Iterator[Check]:
         zero_run.append(sample.labels[node])
     yield Check("prefixes 0^j are positive for j in [1, N-1] and 0^N is negative",
                 zero_run == [1] * (params.N - 1) + [-1])
-    found = chromatic_number(g, upper_bound=k)
-    yield Check(f"graph admits a {k}-coloring", found is not None)
-    _k_star, coloring = found
+    coloring = colorable(g, k)
+    yield Check(f"graph admits a {k}-coloring", coloring is not None)
     witness = single_dfa_from_coloring(g, coloring, params, enc)
     bound = params.N + (k + 1) * params.L
     yield Check("forward witness is consistent", not consistency_violations(witness, sample))

@@ -85,7 +85,8 @@ class _CheckFailure(Exception):
 
 def _load_graph(spec: str, seed: int) -> Graph:
     """A DIMACS file path, or a generator spec like k4, c5, p4,
-    edgeless3, or gnp6x0.5 (seeded by --seed)."""
+    edgeless3, myciel5 (the Mycielski graph M_5), or gnp6x0.5 (seeded
+    by --seed)."""
     path = Path(spec)
     if path.exists():
         return parse_dimacs(path.read_text())
@@ -95,6 +96,9 @@ def _load_graph(spec: str, seed: int) -> Graph:
     m = re.fullmatch(r"edgeless(\d+)", spec)
     if m:
         return Graph.edgeless(int(m.group(1)))
+    m = re.fullmatch(r"myciel(\d+)", spec)
+    if m:
+        return Graph.mycielski(int(m.group(1)))
     m = re.fullmatch(r"gnp(\d+)x([0-9.]+)", spec)
     if m:
         return Graph.gnp(int(m.group(1)), float(m.group(2)), seed)
@@ -322,7 +326,7 @@ _KINDS = ["zhang", "binary", "single"]
 _COMMANDS = {
     "reduce": ("generate a reduction instance from a graph", cmd_reduce, [
         ("kind", dict(choices=_KINDS)),
-        ("--graph", dict(required=True, help="DIMACS file or generator spec (k4, c5, p4, edgeless3, gnp6x0.5)")),
+        ("--graph", dict(required=True, help="DIMACS file or generator spec (k4, c5, p4, edgeless3, myciel5, gnp6x0.5)")),
         ("--K", dict(type=int, help="target color count (required for single)")),
         ("--L", dict(type=int, help="override the body length")),
         ("--N", dict(type=int, help="override the zero-run length")),

@@ -1,4 +1,7 @@
-"""Simple undirected graphs, coloring checks, and an exact chromatic-number search."""
+"""Simple undirected graphs, coloring checks, and the exact coloring oracle:
+`colorable(g, k)`, a fail-first search with a clique bound, run from the
+clique size upward by `chromatic_number`.  It shares the exact DFA search's
+rule but none of its code, so it stays an independent check of that search."""
 from __future__ import annotations
 
 import random
@@ -68,13 +71,23 @@ class Graph:
         )
         return cls(n, edges)
 
-
-def adjacency(g: Graph) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.num_vertices)]
-    for u, v in g.canonical_edges():
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+    @classmethod
+    def mycielski(cls, k: int) -> "Graph":
+        """Mycielski's M_k, triangle-free with chromatic number k: M_2 = K_2,
+        and M_{k+1} adds to M_k (n vertices) a shadow n + i of each vertex i,
+        joined to i's neighbours, and a vertex 2n joined to every shadow.
+        M_3 is a 5-cycle, M_4 the Grotzsch graph; DIMACS's myciel3 is M_4."""
+        if k < 2:
+            raise ValueError("Mycielski graphs start at M_2 = K_2")
+        g = cls.complete(2)
+        for _ in range(k - 2):
+            n = g.num_vertices
+            edges = set(g.edges)
+            for u, v in g.edges:
+                edges.update(((u, n + v), (v, n + u)))
+            edges.update((n + i, 2 * n) for i in range(n))
+            g = cls(2 * n + 1, frozenset(edges))
+        return g
 
 
 @dataclass(frozen=True)
@@ -103,56 +116,99 @@ def is_proper_coloring(g: Graph, coloring: Coloring) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges)
 
 
+def _rows_order_clique(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """Neighbour rows as bitsets, the vertices in descending degree order
+    (ties by index), and the clique taken greedily in that order."""
+    rows = [0] * g.num_vertices
+    for u, v in g.edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    order = sorted(range(g.num_vertices), key=lambda v: (-rows[v].bit_count(), v))
+    clique, cand = [], (1 << g.num_vertices) - 1
+    for v in order:
+        if cand >> v & 1:
+            clique.append(v)
+            cand &= rows[v]
+    return rows, order, clique
+
+
+def colorable(g: Graph, k: int) -> Coloring | None:
+    """The first proper coloring with at most k colors found, or None.
+
+    A fail-first search on an explicit stack, after DSATUR (Brelaz 1979)
+    and San Segundo (2012).  The greedy clique takes colors 1..|clique|;
+    each color class is kept as `blocked`, the OR of its members' rows.  At
+    each frame one pass over the classes finds `zero`, the uncolored
+    vertices no class admits, and `one`, those exactly one admits.  A
+    greedy clique over `zero` larger than the colors left is a dead end.
+    Otherwise the search branches on the lowest vertex of `zero`, else of
+    `one`, else on the first uncolored vertex of the degree order, and
+    tries the classes that admit it in creation order, then a new class
+    while fewer than k are open.
+    """
+    rows, order, clique = _rows_order_clique(g)
+    if len(clique) > k:
+        return None
+    colors = [0] * g.num_vertices
+    for c, v in enumerate(clique, 1):
+        colors[v] = c
+    blocked = [rows[v] for v in clique]
+    uncolored = (1 << g.num_vertices) - 1 - sum(1 << v for v in clique)
+    # One frame per vertex the search colors: [vertex, classes to try (the
+    # last may be len(before), a new one), index of the next, before: the
+    # class rows at the push].  A choice copies `before`, so it stays as it was.
+    frames: list[list] = []
+    while True:
+        if not uncolored:
+            return Coloring(tuple(colors), len(blocked))
+        seen = twice = 0
+        for row in blocked:
+            fits = uncolored & ~row
+            twice |= seen & fits
+            seen |= fits
+        zero, left = uncolored & ~seen, k - len(blocked)
+        size, cand = 0, zero
+        while cand and size <= left:
+            size += 1
+            cand &= rows[(cand & -cand).bit_length() - 1]
+        if size <= left:
+            pick = zero or seen & ~twice
+            if pick:
+                v = (pick & -pick).bit_length() - 1
+            else:
+                v = next(u for u in order if uncolored >> u & 1)
+            tries = [c for c, row in enumerate(blocked) if not row >> v & 1]
+            frames.append([v, tries + [len(blocked)] if left else tries, 0, blocked])
+            uncolored ^= 1 << v
+        while frames:
+            frame = frames[-1]
+            v, tries, i, before = frame
+            if i < len(tries):
+                frame[2], c = i + 1, tries[i]
+                blocked = before + [0] if c == len(before) else before[:]
+                blocked[c] |= rows[v]
+                colors[v] = c + 1
+                break
+            colors[v] = 0
+            uncolored |= 1 << v
+            frames.pop()
+        else:
+            return None
+
+
 def chromatic_number(g: Graph, upper_bound: int | None = None) -> tuple[int, Coloring] | None:
     """Exact minimum color count with a proper witness coloring.
 
-    Branch and bound over vertices in degree-descending order.  Symmetry is
-    broken by fixing the first explored vertex to color 1 and only ever
-    introducing a new color as (current maximum + 1).  The search starts from
-    the bound n + 1, or upper_bound + 1 when one is given, with no coloring
-    known; unbounded, its first descent never backtracks and ends on the greedy
-    coloring in that order.  Returns None only under an upper_bound, when every
-    proper coloring needs more than upper_bound colors.
+    `colorable` at k = the greedy clique's size, then one more each time,
+    up to upper_bound (n when none is given).  Returns None only under an
+    upper_bound, when every proper coloring needs more than upper_bound colors.
     """
-    n = g.num_vertices
-    adj = adjacency(g)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    best = (n if upper_bound is None else upper_bound) + 1
-    best_colors: list[int] = []
-
-    colors = [0] * n
-    # One frame per colored vertex, in search order: [vertex, colors used
-    # before it, colors of its neighbors, highest color to try, color now].
-    frames: list[list] = []
-    used = 0
-    while True:
-        idx = len(frames)
-        if used < best:
-            if idx == n:
-                best = used
-                best_colors = colors[:]
-            else:
-                v = order[idx]
-                taken = {colors[u] for u in adj[v]}
-                frames.append([v, used, taken, min(used + 1, best - 1), 0])
-        while frames:
-            frame = frames[-1]
-            v, before, taken, limit, c = frame
-            c += 1
-            while c <= limit and c in taken:
-                c += 1
-            if c <= limit:
-                frame[4] = colors[v] = c
-                used = max(before, c)
-                break
-            colors[v] = 0
-            frames.pop()
-        else:
-            break
-
-    if not best_colors:
-        return None
-    return best, Coloring(tuple(best_colors), best)
+    top = g.num_vertices if upper_bound is None else upper_bound
+    for k in range(len(_rows_order_clique(g)[2]), top + 1):
+        found = colorable(g, k)
+        if found is not None:
+            return k, found
+    return None
 
 
 def parse_dimacs(text: str) -> Graph:

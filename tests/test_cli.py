@@ -437,6 +437,13 @@ class TestParsing:
         assert main(["--seed", "3", "reduce", "zhang", "--graph", "gnp6x0.5",
                      "--out", str(tmp_path / "g.abb")]) == 0
 
+    def test_mycielski_spec(self, capsys):
+        # M_4, the Grotzsch graph: triangle-free, chromatic number 4
+        assert main(["verify", "--kind", "zhang", "--graph", "myciel4", "--K", "4"]) == 0
+        assert main(["verify", "--kind", "zhang", "--graph", "myciel4", "--K", "3"]) == 1
+        assert main(["verify", "--kind", "zhang", "--graph", "myciel1", "--K", "1"]) == 2
+        assert "M_2" in capsys.readouterr().err
+
     def test_the_console_script_reads_sys_argv(self, monkeypatch, tmp_path, capsys):
         w = tmp_path / "w.json"
         for argv in (["witness", "--kind", "zhang", "--graph", "c5", "--K", "3", "--out", str(w)],

@@ -12,6 +12,7 @@ from dfalab import (
     DimacsError,
     Graph,
     chromatic_number,
+    colorable,
     emit_dimacs,
     is_proper_coloring,
     parse_dimacs,
@@ -96,9 +97,13 @@ class TestChromaticNumber:
 
     def test_long_odd_cycle_does_not_recurse(self):
         # more vertices than the interpreter's recursion limit
-        k, witness = chromatic_number(Graph.cycle(1201))
+        g = Graph.cycle(1201)
+        k, witness = chromatic_number(g)
         assert k == 3
-        assert is_proper_coloring(Graph.cycle(1201), witness)
+        assert is_proper_coloring(g, witness)
+        assert colorable(g, 2) is None
+        three = colorable(g, 3)
+        assert three.num_colors == 3 and is_proper_coloring(g, three)
 
     def test_upper_bound_exceeded_is_reported_not_raised(self, k4):
         assert chromatic_number(k4, upper_bound=3) is None
@@ -106,8 +111,8 @@ class TestChromaticNumber:
         assert found is not None and found[0] == 4
 
     def test_search_improves_on_its_first_descent(self):
-        # degree order 0, 1, 3, 5, 2, 4: the first descent (the greedy
-        # coloring) gives vertex 5 a third color, yet the graph is bipartite
+        # the greedy coloring in degree order 0, 1, 3, 5, 2, 4 gives vertex 5
+        # a third color, yet the graph is bipartite
         g = Graph.gnp(6, 0.3, seed=1)
         for bound in (2, 3, None):
             k, witness = chromatic_number(g, upper_bound=bound)
@@ -173,12 +178,46 @@ def test_upper_bound_matches_the_exhaustive_oracle(n, p, seed):
     chi = oracle_chromatic(g)
     for bound in range(-1, n + 2):
         found = chromatic_number(g, upper_bound=bound)
+        first = colorable(g, bound)
         if bound < chi:
             assert found is None
+            assert first is None
         else:
             k, witness = found
             assert k == witness.num_colors == chi
             assert is_proper_coloring(g, witness)
+            assert first.num_colors <= bound
+            assert is_proper_coloring(g, first)
+
+
+class TestMycielski:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_counts_and_no_triangle(self, k):
+        g = Graph.mycielski(k)
+        assert g.num_vertices == 3 * 2 ** (k - 2) - 1
+        if k > 2:
+            smaller = Graph.mycielski(k - 1)
+            assert g.num_edges == 3 * smaller.num_edges + smaller.num_vertices
+        rows = [0] * g.num_vertices
+        for u, v in g.edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        assert not any(rows[u] & rows[v] for u, v in g.edges)
+
+    def test_first_members(self):
+        assert Graph.mycielski(2) == Graph.complete(2)
+        m3 = Graph.mycielski(3)
+        assert m3.num_edges == 5
+        assert all(sum(v in e for e in m3.edges) == 2 for v in range(5))  # a 5-cycle
+        with pytest.raises(ValueError, match="M_2"):
+            Graph.mycielski(1)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_chromatic_number_is_k(self, k):
+        g = Graph.mycielski(k)
+        chi, witness = chromatic_number(g)
+        assert chi == k and is_proper_coloring(g, witness)
+        assert colorable(g, k - 1) is None
 
 
 class TestDimacs:
