@@ -146,14 +146,17 @@ def colorable(g: Graph, k: int) -> Coloring | None:
     tries the classes that admit it in creation order, then a new class
     while fewer than k are open.
     """
-    rows, order, clique = _rows_order_clique(g)
+    return _first_coloring(*_rows_order_clique(g), k)
+
+
+def _first_coloring(rows: list[int], order: list[int], clique: list[int], k: int) -> Coloring | None:
     if len(clique) > k:
         return None
-    colors = [0] * g.num_vertices
+    colors = [0] * len(rows)
     for c, v in enumerate(clique, 1):
         colors[v] = c
     blocked = [rows[v] for v in clique]
-    uncolored = (1 << g.num_vertices) - 1 - sum(1 << v for v in clique)
+    uncolored = (1 << len(rows)) - 1 - sum(1 << v for v in clique)
     # One frame per vertex the search colors: [vertex, classes to try (the
     # last may be len(before), a new one), index of the next, before: the
     # class rows at the push].  A choice copies `before`, so it stays as it was.
@@ -204,8 +207,9 @@ def chromatic_number(g: Graph, upper_bound: int | None = None) -> tuple[int, Col
     upper_bound, when every proper coloring needs more than upper_bound colors.
     """
     top = g.num_vertices if upper_bound is None else upper_bound
-    for k in range(len(_rows_order_clique(g)[2]), top + 1):
-        found = colorable(g, k)
+    rows, order, clique = _rows_order_clique(g)
+    for k in range(len(clique), top + 1):
+        found = _first_coloring(rows, order, clique, k)
         if found is not None:
             return k, found
     return None
