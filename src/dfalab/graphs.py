@@ -149,7 +149,8 @@ def colorable(g: Graph, k: int) -> Coloring | None:
     return _first_coloring(*_rows_order_clique(g), k)
 
 
-def _first_coloring(rows: list[int], order: list[int], clique: list[int], k: int) -> Coloring | None:
+def _first_coloring(rows: list[int], order: list[int], clique: list[int],
+                    k: int) -> Coloring | None:
     if len(clique) > k:
         return None
     colors = [0] * len(rows)

@@ -15,7 +15,9 @@ from dfalab import (
     colorable,
     emit_dimacs,
     is_proper_coloring,
+    min_consistent,
     parse_dimacs,
+    zhang_sample,
 )
 
 from conftest import oracle_chromatic, suite_graphs
@@ -214,10 +216,12 @@ class TestMycielski:
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_chromatic_number_is_k(self, k):
+        # chi(M_k) = k by theorem, so neither search is checked against itself
         g = Graph.mycielski(k)
         chi, witness = chromatic_number(g)
         assert chi == k and is_proper_coloring(g, witness)
         assert colorable(g, k - 1) is None
+        assert min_consistent(zhang_sample(g), k + 1)[0] == k + 1
 
 
 class TestDimacs:
