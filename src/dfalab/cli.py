@@ -22,7 +22,7 @@ from .automata import (
     dfa_sample_to_machine_sample,
     machine_sample_to_dfa_sample,
 )
-from .certification import certify
+from .certification import KINDS, certify
 from .formats import (
     FormatError,
     automaton_from_json,
@@ -320,12 +320,10 @@ def cmd_dot(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_KINDS = ["zhang", "binary", "single"]
-
 # name: (help, handler, arguments as (name or flag, add_argument keywords))
 _COMMANDS = {
     "reduce": ("generate a reduction instance from a graph", cmd_reduce, [
-        ("kind", dict(choices=_KINDS)),
+        ("kind", dict(choices=KINDS)),
         ("--graph", dict(required=True, help="DIMACS file or generator spec (k4, c5, p4, edgeless3, myciel5, gnp6x0.5)")),
         ("--K", dict(type=int, help="target color count (required for single)")),
         ("--L", dict(type=int, help="override the body length")),
@@ -342,7 +340,7 @@ _COMMANDS = {
         ("--out", dict(help="witness JSON path")),
     ]),
     "witness": ("build the forward construction from a coloring", cmd_witness, [
-        ("--kind", dict(required=True, choices=[*_KINDS, "two-chain"])),
+        ("--kind", dict(required=True, choices=[*KINDS, "two-chain"])),
         ("--graph", dict(required=True)),
         ("--K", dict(type=int)),
         ("--coloring", dict(help="comma-separated colors, e.g. 1,2,3,1,1")),
@@ -351,14 +349,14 @@ _COMMANDS = {
         ("--out", dict(required=True, help="automaton JSON path")),
     ]),
     "extract": ("extract a coloring from a consistent DFA", cmd_extract, [
-        ("--kind", dict(required=True, choices=_KINDS)),
+        ("--kind", dict(required=True, choices=KINDS)),
         ("--dfa", dict(required=True, help="automaton JSON path")),
         ("--graph", dict(required=True)),
         ("--meta", dict(help="metadata JSON written by reduce")),
         ("--out", dict(help="coloring JSON path")),
     ]),
     "verify": ("run one graph through a full round trip", cmd_verify, [
-        ("--kind", dict(required=True, choices=_KINDS)),
+        ("--kind", dict(required=True, choices=KINDS)),
         ("--graph", dict(required=True)),
         ("--K", dict(type=int, required=True)),
         ("--L", dict(type=int)),

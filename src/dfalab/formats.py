@@ -145,9 +145,11 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
         return MooreMachine(num_states, alphabet, initial, table, output)
     if len(out) != len(edges):  # mealy, the one type left
         raise FormatError("mealy document needs one output per transition")
-    by_edge = {}
+    by_edge: dict[tuple[int, int], bool] = {}
     for (q, a, _t), s in zip(edges, out):
-        by_edge[(q, a)] = _parse_out_symbol(s, "mealy output")
+        bit = _parse_out_symbol(s, "mealy output")
+        if by_edge.setdefault((q, a), bit) != bit:
+            raise FormatError(f"duplicate transition for state {q}, symbol {a}")
     output = tuple(
         tuple(by_edge[(q, a)] for a in range(size)) for q in range(num_states)
     )

@@ -39,8 +39,7 @@ bits for an n-node tree, from one pass up from the leaves.  Each class
 keeps a class row, the OR of its nodes' rows.  A fold of two classes
 with a conflicting pair of nodes must fail, so a node's candidate
 classes are the committed roots minus its class row (one mask), less
-those whose class row holds the node; a class left out still counts in
-`states_explored`.
+those whose class row holds the node.
 
 RPNI is the same search's first descent: plain breadth-first order, no
 clique, no fail-first choice or bound, and no state bound below the tree
@@ -68,13 +67,8 @@ class SolveStatus(Enum):
 class SolveOutcome:
     """`witness` is a total DFA on SAT and None otherwise.
 
-    `states_explored` counts the merge search's steps: one per class a
-    node passed at its frame, in creation order, whether it folded into the
-    class, skipped it by its class row or failed the fold, and one per class
-    opened.  So a dead end, where no class left admits the node and m are
-    open, adds every class not yet passed.  A clique-bound UNSAT takes 0,
-    and so do a dead end found by the forced-class bound, before any node
-    is tried, and the merge of a deferred labeled leaf at the end."""
+    `states_explored` counts the choices the merge search takes, one each
+    time a node joins a class or opens one, so a clique-bound UNSAT takes 0."""
 
     status: SolveStatus
     witness: Dfa | None
@@ -329,9 +323,10 @@ class _MergeSearch:
         a stack (opened by commit, closed by uncommit on backtrack), so a
         frame keeps none of them: while it is on top, its classes are the
         committed roots other than its node.  Clique nodes are
-        classes from the start and get no frame.  A class is counted as
-        tried but never folded, since the fold would fail, when its root is
-        in the node's class row or the node is in its class row.
+        classes from the start and get no frame.  A class is passed over
+        without a fold, since the fold would fail, when its root is in the
+        node's class row or the node is in its class row.  Each choice
+        taken, a join or an open, adds one to `explored`.
 
         The frame's admissible classes, those that pass both row tests, are
         listed once when the frame is pushed, newest last so that popping
@@ -377,8 +372,8 @@ class _MergeSearch:
         order, rep, label, trans, crow, rank, trail = (
             self.order, self.rep, self.label, self.trans, self.crow, self.rank, self.trail)
         deadline, max_states, fail_first = self.deadline, self.max_states, self.fail_first
-        # [order cursor, node, choices taken, trail mark, admissible roots left, unplaced]
-        frames: list[list] = []
+        # (order cursor, node, trail mark, admissible roots left, unplaced)
+        frames: list[tuple[int, int, int, list[int], int]] = []
         idx, end = 0, len(order)
         unplaced = sum(1 << node for node in order) if fail_first else 0
         while True:
@@ -427,19 +422,16 @@ class _MergeSearch:
                     if not crow[red] >> node & 1:
                         admissible.append(red)
                 admissible.sort(key=rank.__getitem__, reverse=True)
-                frames.append([idx, node, 0, len(trail), admissible, unplaced])
+                frames.append((idx, node, len(trail), admissible, unplaced))
             while frames:
-                frame = frames[-1]
-                idx, node, first, mark, admissible, unplaced = frame
+                idx, node, mark, admissible, unplaced = frames[-1]
                 if node in rank:  # it has opened a class, its last choice
                     self.uncommit(node)
                     frames.pop()
                     continue
-                count = len(rank)
                 if len(trail) > mark:
                     self.undo(mark)
                 tn, ln = trans[node], label[node]
-                taken = count + 1
                 while admissible:
                     red = admissible.pop()
                     tr = trans[red]
@@ -454,18 +446,16 @@ class _MergeSearch:
                             label[red] = ln
                         tr.update(tn)
                         trail.append((node, red, list(tn), not lr, old))
-                        taken = rank[red] + 1
                         break
                     if self.fold(red, node):
-                        taken = rank[red] + 1
                         break
                     self.undo(mark)
                 else:
-                    if count >= max_states:
-                        self.explored += count - first
+                    if len(rank) >= max_states:
                         frames.pop()
                         continue
                     self.commit(node)
+                self.explored += 1
                 if fail_first:
                     unplaced ^= 1 << node
                     for dropped, kept, added, _relabeled, _old in trail[mark + 1:]:  # the closure
@@ -474,8 +464,6 @@ class _MergeSearch:
                             unplaced |= 1 << kept
                 else:
                     idx += 1
-                self.explored += taken - first  # one step per choice tried, skipped ones too
-                frame[2] = taken
                 break
             else:
                 return False
@@ -507,8 +495,7 @@ def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | N
     order is built and once per node while the clique is built, but not
     while the conflict rows are computed when the prefix tree is wrapped.
 
-    `states_explored` counts classes passed (folded, skipped or failed) or
-    opened, a dead end adding all not yet passed, as `SolveOutcome` says.
+    `states_explored` counts the choices taken, as `SolveOutcome` says.
 
     A max_states below 1, or a time_budget that is not positive (NaN
     included), is a ValueError; None or inf means no deadline.

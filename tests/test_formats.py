@@ -97,6 +97,18 @@ class TestAutomatonJson:
         with pytest.raises(FormatError, match=message):
             automaton_from_dict(d)
 
+    # a (state, symbol) listed twice in a mealy document must repeat its
+    # output too: neither of two opposite outputs may silently win
+    @pytest.mark.parametrize("first", ["+", "-"])
+    def test_a_repeated_mealy_transition_must_repeat_its_output(self, first):
+        other = {"+": "-", "-": "+"}[first]
+        d = {"type": "mealy", "states": 1, "alphabet": ["0"], "initial": 0,
+             "transitions": [[0, 0, 0], [0, 0, 0]], "output": [first, other]}
+        with pytest.raises(FormatError, match="^duplicate transition for state 0, symbol 0$"):
+            automaton_from_dict(d)
+        d["output"] = [first, first]  # repeats that agree stay accepted
+        assert automaton_from_dict(d).output == ((first == "+",),)
+
     # no coercion: a float, a numeric string or a bool is not a state
     @pytest.mark.parametrize("bad", [2.9, "2", True], ids=["float", "string", "bool"])
     def test_state_count_must_be_an_integer(self, bad):

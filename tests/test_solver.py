@@ -349,12 +349,12 @@ def test_deep_prefix_tree_does_not_recurse():
 ZHANG_PINS = [
     ("triangle", Graph.complete(3), [0, 0, 0, 0],
      ((1, 2, 3, 0, 0, 0), (1, 1, 1, 0, 0, 1), (2, 2, 2, 1, 2, 0), (3, 3, 3, 3, 1, 1))),
-    ("p4", Graph.path(4), [0, 0, 5],
+    ("p4", Graph.path(4), [0, 0, 2],
      ((1, 2, 1, 2, 0, 0, 0), (1, 1, 1, 1, 0, 2, 0), (2, 2, 2, 2, 2, 0, 2))),
-    ("c5", Graph.cycle(5), [0, 0, 6, 9],
+    ("c5", Graph.cycle(5), [0, 0, 2, 3],
      ((1, 2, 1, 2, 3, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 0, 1),
       (2, 2, 2, 2, 2, 1, 2, 0, 1, 0), (3, 3, 3, 3, 3, 3, 1, 3, 3, 1))),
-    ("demo5", Graph(5, frozenset(DEMO5_EDGES)), [0, 0, 0, 7],
+    ("demo5", Graph(5, frozenset(DEMO5_EDGES)), [0, 0, 0, 2],
      ((1, 2, 3, 1, 2, 0, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 0, 1, 3, 3, 1),
       (2, 2, 2, 2, 2, 3, 2, 0, 0, 2, 3), (3, 3, 3, 3, 3, 3, 3, 3, 3, 0, 0))),
     ("k4", Graph.complete(4), [0, 0, 0, 0, 0],
@@ -378,8 +378,8 @@ def test_exact_search_steps_and_witness_are_pinned(name, g, explored, rows):
 
 
 @pytest.mark.parametrize("n, seed, unsat_steps, sat_steps, coloring", [
-    (9, 1, 15, 22, (1, 2, 3, 3, 2, 3, 4, 1, 5)),
-    (10, 3, 0, 17, (1, 2, 1, 3, 1, 2, 4, 2, 1, 3)),
+    (9, 1, 3, 5, (1, 2, 3, 3, 2, 3, 4, 1, 5)),
+    (10, 3, 0, 6, (1, 2, 1, 3, 1, 2, 4, 2, 1, 3)),
 ], ids=["gnp9-1", "gnp10-3"])
 def test_exact_search_steps_are_pinned_on_random_graphs(n, seed, unsat_steps, sat_steps, coloring):
     g = Graph.gnp(n, 0.5, seed)
@@ -395,13 +395,13 @@ def test_exact_search_steps_are_pinned_on_random_graphs(n, seed, unsat_steps, sa
 # the binary upper side, m = (chi+1)L - 1: a search that backtracks with
 # hundreds of classes; witnesses pinned by the sha256 of their JSON
 BINARY_UPPER_PINS = [
-    ("triangle", Graph.complete(3), 3, 155, 81,
+    ("triangle", Graph.complete(3), 3, 5, 81,
      "c15d170676966212f0497536cf5abfd957bda9ea93a59ccfae794f08c9bb86fe"),
-    ("p4", Graph.path(4), 2, 128, 62,
+    ("p4", Graph.path(4), 2, 6, 62,
      "e5e3606e6cb6adbb3a2f5be7bbdc38e67777bbe2ee2111a937f310bc761fb1af"),
-    ("k4", Graph.complete(4), 4, 635, 219,
+    ("k4", Graph.complete(4), 4, 8, 219,
      "098bc94e91d350702b24663cf5c02f4438664b7157c565a76558e13ec82520af"),
-    ("c5", Graph.cycle(5), 3, 7388, 161,
+    ("c5", Graph.cycle(5), 3, 62, 161,
      "fea9beb3c3e40556bea98c401def6107dbb630c0604eae65c3d9977aff49971c"),
 ]
 
@@ -424,7 +424,7 @@ def test_c5_binary_lower_side_steps_are_pinned():
     params = default_params(g, 3)
     s = binary_sample(g, params, make_encoding(g, params))
     out = exists_consistent(s, 3 * params.L - 1)
-    assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 143_021)
+    assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 2023)
 
 
 def test_gnp6_binary_lower_side_is_decided():
@@ -434,7 +434,23 @@ def test_gnp6_binary_lower_side_is_decided():
     params = default_params(g, 3)
     s = binary_sample(g, params, make_encoding(g, params))
     out = exists_consistent(s, 3 * params.L - 1)
-    assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 8450)
+    assert (out.status, out.states_explored) == (SolveStatus.UNSAT, 107)
+
+
+def test_m3_binary_minimum_is_160():
+    # Mycielski's M3 is a 5-cycle numbered otherwise than Graph.cycle(5):
+    # with the same K = 3 and L = 51 its binary m* is 160, where c5's is
+    # 161 (BINARY_UPPER_PINS), so m* depends on how the vertices are numbered
+    g = Graph.mycielski(3)
+    params = default_params(g, 3)
+    assert params.L == 51
+    s = binary_sample(g, params, make_encoding(g, params))
+    unsat = exists_consistent(s, 159)
+    assert (unsat.status, unsat.states_explored) == (SolveStatus.UNSAT, 2807)
+    sat = exists_consistent(s, 160)
+    assert (sat.status, sat.states_explored) == (SolveStatus.SAT, 27_673)
+    assert sat.witness.num_states == 160
+    assert is_consistent(sat.witness, s)
 
 
 def test_zhang_minimum_on_forty_vertices():
@@ -446,17 +462,17 @@ def test_zhang_minimum_on_forty_vertices():
 # the bench's zhang-exact graphs: the steps of each m from the clique size
 # up to the first SAT (every m below takes 0) and the witness's sha256
 ZHANG_EXACT_PINS = [
-    ("gnp19-1", 19, 1, 6, (30, 60),
+    ("gnp19-1", 19, 1, 6, (5, 14),
      "0a57249f2c424ce843b86c8c57d2657e0056078131b38477c4d65b5b8c504adc"),
-    ("gnp20-0", 20, 0, 6, (36, 65),
+    ("gnp20-0", 20, 0, 6, (6, 15),
      "6380268c185b0ad87a91336aab72c1890458f30509acd781b9e2ecbd1e8cc84b"),
-    ("gnp21-2", 21, 2, 6, (18, 66),
+    ("gnp21-2", 21, 2, 6, (3, 16),
      "fac5e933f03de08391234afb02b832aa02daacb99f7ee298b5e7e577e028f96b"),
-    ("gnp23-4", 23, 4, 6, (6, 155),
+    ("gnp23-4", 23, 4, 6, (1, 29),
      "628661b8d6e3b4d4eee97de0b346a3cafabecda88d018370e63b6e75846a78fd"),
-    ("gnp24-1", 24, 1, 7, (81,),
+    ("gnp24-1", 24, 1, 7, (18,),
      "f87910e2906e77c75ad3e60ec7c85eb9baaa03db888ca6eae03899730a3a14b3"),
-    ("gnp24-9", 24, 9, 5, (10, 54, 1124, 98),
+    ("gnp24-9", 24, 9, 5, (2, 11, 182, 20),
      "ca4dcdb3795ed1526e4c1ed056c012bf083854d7dfe4b55d57bb024bbeb6fda8"),
 ]
 
