@@ -545,10 +545,6 @@ def consistency_violations(machine: Dfa | PartialDfa, sample: DfaSample) -> list
             for word, nodes in sample.preorder() if nodes[-1] in wrong]
 
 
-def is_consistent(machine: Dfa | PartialDfa, sample: DfaSample) -> bool:
-    return not consistency_violations(machine, sample)
-
-
 def prefix_tree_acceptor(sample: DfaSample) -> PartialDfa:
     """Tree-shaped partial DFA with one state per distinct prefix: the
     sample's own tree, state numbers included.

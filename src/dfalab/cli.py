@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import re
 import sys
 from pathlib import Path
@@ -18,13 +17,11 @@ from pathlib import Path
 from .automata import (
     Dfa,
     PartialDfa,
-    SampleError,
     dfa_sample_to_machine_sample,
     machine_sample_to_dfa_sample,
 )
 from .certification import KINDS, certify
 from .formats import (
-    FormatError,
     automaton_from_json,
     automaton_to_dot,
     automaton_to_json,
@@ -39,7 +36,7 @@ from .formats import (
     sample_from_abbadingo,
     sample_to_abbadingo,
 )
-from .graphs import Coloring, DimacsError, Graph, chromatic_number, is_proper_coloring, parse_dimacs
+from .graphs import Coloring, Graph, chromatic_number, is_proper_coloring, parse_dimacs
 from .reductions import (
     binary_sample,
     default_params,
@@ -256,9 +253,11 @@ def cmd_extract(args) -> int:
         if not args.meta:
             raise ValueError(f"extract {args.kind} needs --meta (written by reduce)")
         meta = metadata_from_json(Path(args.meta).read_text())
+        if meta.get("kind") != args.kind:
+            raise ValueError(f"metadata is for the {meta.get('kind')} reduction, not {args.kind}")
         if meta.get("graph_sha256") != graph_sha256(g):
             raise ValueError("metadata was generated from a different graph")
-        params = metadata_params(meta, need_kn=args.kind == "single")
+        params = metadata_params(meta)
         enc = metadata_encoding(meta)
         if args.kind == "binary":
             coloring = coloring_from_binary_dfa(machine, g, params, enc)
@@ -411,7 +410,7 @@ def main(argv=None) -> int:
     except (InconsistentDfaError, ExtractionError) as e:
         print(f"failed: {e}", file=sys.stderr)
         return EXIT_FAIL
-    except (FormatError, DimacsError, SampleError, OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -96,6 +96,12 @@ def _integer(value: Any, field: str, document: str = "automaton") -> int:
     return value
 
 
+def _string(value: Any, field: str) -> str:
+    if type(value) is not str:
+        raise FormatError(f"automaton field {field!r} has the wrong type: {value!r} is not a string")
+    return value
+
+
 def _transition(entry: Any) -> list[int]:
     if not (isinstance(entry, list) and len(entry) == 3 and all(type(x) is int for x in entry)):
         raise FormatError(f"transition {entry!r} must be three integers [state, symbol, target]")
@@ -106,7 +112,7 @@ def automaton_from_dict(d: dict[str, Any]) -> Automaton:
     try:
         kind = d["type"]
         num_states = _integer(d["states"], "states")
-        names = tuple(str(n) for n in _list_field(d["alphabet"], "alphabet"))
+        names = tuple(_string(n, "alphabet") for n in _list_field(d["alphabet"], "alphabet"))
         initial = _integer(d["initial"], "initial")
         edges = [_transition(entry) for entry in _list_field(d["transitions"], "transitions")]
         accepting = frozenset(_integer(q, "accepting")
@@ -402,8 +408,9 @@ def metadata_from_json(text: str) -> dict[str, Any]:
     return _json_object(text, "metadata")
 
 
-def metadata_params(meta: dict[str, Any], need_kn: bool) -> ReductionParams:
-    for field in ("L", "head_len", "tail_len") + (("K", "N") if need_kn else ()):
+def metadata_params(meta: dict[str, Any]) -> ReductionParams:
+    """The recorded parameters; a single-string record must hold K and N."""
+    for field in ("L", "head_len", "tail_len") + (("K", "N") if meta.get("kind") == "single" else ()):
         if meta.get(field) is None:
             raise FormatError(f"metadata is missing {field!r}")
     given = {f: _integer(meta[f], f, "metadata")

@@ -112,10 +112,6 @@ class _Pta:
         self.rows = _conflict_rows(self.children, self.labels)
         self._plan: tuple[list[int], list[int]] | None = None
 
-    def conflict(self, u: int, v: int) -> bool:
-        """Whether some suffix w labels u.w and v.w oppositely."""
-        return bool(self.rows[u] >> v & 1)
-
     def search_plan(self, deadline: float | None) -> tuple[list[int], list[int]]:
         """The exact search's node order and a greedy clique over it.
 
@@ -169,17 +165,11 @@ def _conflict_rows(children, labels) -> list[int]:
             offsets[a][c - v] = offsets[a].get(c - v, 0) | 1 << v
     masks = {a: list(by_offset.items()) for a, by_offset in offsets.items()}
     rows = [0] * len(labels)
-    above: dict[tuple[int, int], int] = {}  # (a, B) -> the nodes whose a-child is in B
     for u in range(len(labels) - 1, -1, -1):
         row = clash[labels[u]]
         for a, c in children[u].items():
             below = rows[c]
-            got = above.get((a, below))
-            if got is None:
-                got = sum((below >> d) & mask for d, mask in masks[a])  # disjoint masks: a union
-                if len(masks[a]) > 1:  # rows repeat where subtrees do; one shift is no dearer
-                    above[a, below] = got
-            row |= got
+            row |= sum((below >> d) & mask for d, mask in masks[a])  # disjoint masks: a union
         rows[u] = row
     return rows
 

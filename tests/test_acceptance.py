@@ -22,7 +22,6 @@ from dfalab import (
     consistency_violations,
     default_params,
     dfa_sample_to_machine_sample,
-    is_consistent,
     is_proper_coloring,
     machine_sample_to_dfa_sample,
     make_encoding,
@@ -66,7 +65,7 @@ def test_criterion_1_zhang_equivalence_exact():
             k_star = chromatic_number(g)[0]
             m_star, witness = min_consistent(zhang_sample(g), k_star + 2)
             assert m_star == k_star + 1, f"{name}: m*={m_star}, k*={k_star}"
-            assert is_consistent(witness, zhang_sample(g)), name
+            assert not consistency_violations(witness, zhang_sample(g)), name
             results[name] = m_star
         assert results["demo5"] == 4  # chromatic number 3
 
@@ -80,7 +79,7 @@ def test_criterion_2_binary_forward():
             assert (3 + 1) * params.L == bound
             _k, coloring = oracle_coloring(g)
             w = binary_dfa_from_coloring(g, coloring, params, enc)
-            assert is_consistent(w, binary_sample(g, params, enc))
+            assert not consistency_violations(w, binary_sample(g, params, enc))
             assert w.is_acyclic()
             assert w.num_states < bound
 
@@ -167,7 +166,7 @@ def test_criterion_6_solver_exactness():
             if got != expected:
                 disagreements += 1
             if witness is not None:
-                assert is_consistent(witness, s)
+                assert not consistency_violations(witness, s)
         assert disagreements == 0
 
 
@@ -178,7 +177,7 @@ def test_criterion_7_ratio_chain():
         enc = make_encoding(demo5, params)
         sample = binary_sample(demo5, params, enc)
         heuristic = rpni(sample)
-        assert is_consistent(heuristic, sample)
+        assert not consistency_violations(heuristic, sample)
         report = ratio_report(demo5, heuristic, params, enc)
         assert report.k_star <= report.k_hat <= report.m_hat // report.L
         assert report.m_star_lower == report.k_star * report.L
@@ -236,7 +235,7 @@ def test_criterion_9_adfa_facts():
         for sample in generated:
             pta = prefix_tree_acceptor(sample)
             assert pta.is_acyclic()
-            assert is_consistent(pta, sample)
+            assert not consistency_violations(pta, sample)
         # under-bound instance: the equivalences no longer apply, but the
         # prefix tree is the bare path over the string, and no acyclic
         # automaton is smaller: its run on Str visits |Str|+1 distinct
@@ -249,4 +248,4 @@ def test_criterion_9_adfa_facts():
         assert pta.num_states == len(word) + 1
         assert [pta.walk(word[:i]) for i in range(len(word) + 1)] == list(range(len(word) + 1))
         assert pta.is_acyclic()
-        assert is_consistent(pta, sample)
+        assert not consistency_violations(pta, sample)

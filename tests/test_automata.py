@@ -24,7 +24,6 @@ from dfalab import (
     consistency_violations,
     default_params,
     dfa_sample_to_machine_sample,
-    is_consistent,
     machine_sample_to_dfa_sample,
     make_encoding,
     prefix_completeness,
@@ -73,14 +72,14 @@ class TestRunDfa:
 class TestConsistency:
     def test_pta_consistent_with_its_sample(self):
         s = sample([(0,), (1, 0)], [(), (1,)])
-        assert is_consistent(prefix_tree_acceptor(s), s)
+        assert not consistency_violations(prefix_tree_acceptor(s), s)
 
     def test_binary_witness_consistent(self, demo5):
         params = default_params(demo5, 3)
         enc = make_encoding(demo5, params)
         s = binary_sample(demo5, params, enc)
         k, coloring = chromatic_number(demo5)
-        assert is_consistent(binary_dfa_from_coloring(demo5, coloring, params, enc), s)
+        assert not consistency_violations(binary_dfa_from_coloring(demo5, coloring, params, enc), s)
 
     def test_all_rejecting_names_the_violation(self):
         reject = Dfa(1, BIN, 0, ((0, 0),), frozenset())
@@ -89,8 +88,8 @@ class TestConsistency:
 
     def test_partial_falloff_counts_as_rejection(self):
         p = PartialDfa(1, BIN, 0, ((None, None),), frozenset({0}))
-        assert is_consistent(p, sample([()], [(0,), (1, 1)]))
-        assert not is_consistent(p, sample([(0,)], []))
+        assert not consistency_violations(p, sample([()], [(0,), (1, 1)]))
+        assert consistency_violations(p, sample([(0,)], []))
 
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError, match="alphabet mismatch"):
@@ -120,7 +119,7 @@ class TestPrefixTree:
                 prefixes.update(w[:k] for k in range(len(w) + 1))
         pta = prefix_tree_acceptor(s)
         assert pta.num_states == len(prefixes)
-        assert is_consistent(pta, s)
+        assert not consistency_violations(pta, s)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(SampleError):
@@ -178,7 +177,7 @@ class TestCompletion:
         w = binary_dfa_from_coloring(triangle, coloring, params, enc)
         total = w.completed()
         assert total.num_states == w.num_states
-        assert is_consistent(total, s)
+        assert not consistency_violations(total, s)
 
     def test_a_string_falling_off_an_accepting_state_flips(self):
         # consistent as given, since both vertex strings fall off the
@@ -186,8 +185,8 @@ class TestCompletion:
         g = Graph.edgeless(2)
         p = PartialDfa(1, zhang_alphabet(g), 0, ((None, None),), frozenset({0}))
         s = zhang_sample(g)
-        assert is_consistent(p, s)
-        assert not is_consistent(p.completed(), s)
+        assert not consistency_violations(p, s)
+        assert consistency_violations(p.completed(), s)
 
 
 class TestTransducers:
@@ -423,8 +422,8 @@ def test_walk_composes(pair, data):
 def test_pta_is_acyclic_and_consistent(s):
     pta = prefix_tree_acceptor(s)
     assert pta.is_acyclic()
-    assert is_consistent(pta, s)
-    assert is_consistent(pta.completed(), s)
+    assert not consistency_violations(pta, s)
+    assert not consistency_violations(pta.completed(), s)
 
 
 @given(dfa_and_word())

@@ -205,6 +205,24 @@ class TestWitnessExtract:
         assert main(["extract", "--kind", "binary", "--graph", demo5_col,
                      "--dfa", str(w), "--meta", str(tmp_path / "b.abb.meta.json")]) == 2
 
+    # a sidecar serves only its own reduction's extraction: read by another,
+    # it extracted (single as binary), failed the certificate (binary as
+    # single) or missed a field (zhang as binary)
+    @pytest.mark.parametrize("written, asked, K", [
+        ("single", "binary", ["--K", "3"]),
+        ("binary", "single", ["--K", "3"]),
+        ("zhang", "binary", []),
+    ], ids=["single-as-binary", "binary-as-single", "zhang-as-binary"])
+    def test_metadata_of_another_reduction_is_usage_error(self, written, asked, K, k3_col,
+                                                          tmp_path, capsys):
+        assert main(["reduce", written, "--graph", k3_col, *K, "--out", str(tmp_path / "s.abb")]) == 0
+        w = tmp_path / "w.json"
+        assert main(["witness", "--kind", asked, "--graph", k3_col, "--K", "3", "--out", str(w)]) == 0
+        capsys.readouterr()
+        assert main(["extract", "--kind", asked, "--graph", k3_col,
+                     "--dfa", str(w), "--meta", str(tmp_path / "s.abb.meta.json")]) == 2
+        assert capsys.readouterr().err == f"error: metadata is for the {written} reduction, not {asked}\n"
+
     def test_inconsistent_dfa_fails_with_one(self, k3_col, tmp_path):
         from dfalab import Dfa
         from dfalab.formats import automaton_to_json

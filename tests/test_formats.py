@@ -88,6 +88,10 @@ class TestAutomatonJson:
         ("mealy", "output", "+-+-", "'output' must be a list"),
         ("moore", "output", "-+", "'output' must be a list"),
         ("dfa", "states", "two", "wrong type"),
+        ("dfa", "alphabet", [None], "'alphabet' has the wrong type: None is not a string"),
+        ("dfa", "alphabet", [True, 1.5], "True is not a string"),
+        ("dfa", "alphabet", [["x"]], r"\['x'\] is not a string"),
+        ("dfa", "alphabet", [0, "0"], "0 is not a string"),
     ])
     def test_malformed_fields_are_format_errors(self, machine, field, value, message):
         d = automaton_to_dict({"dfa": flip_flop(), "mealy": flip_flop().to_mealy(),
@@ -394,7 +398,7 @@ class TestMetadata:
         params = default_params(demo5, 3)
         enc = make_encoding(demo5, params)
         meta = reduction_metadata("single", demo5, params, enc)
-        assert metadata_params(meta, need_kn=True) == params
+        assert metadata_params(meta) == params
         assert metadata_encoding(meta) == enc
         assert meta["graph_sha256"] == graph_sha256(demo5)
 
@@ -402,14 +406,14 @@ class TestMetadata:
         meta = reduction_metadata("zhang", demo5)
         assert meta["L"] is None and meta["vertex_codes"] is None
         with pytest.raises(FormatError, match="missing"):
-            metadata_params(meta, need_kn=False)
+            metadata_params(meta)
 
     def test_binary_without_k(self, demo5):
         params = default_params(demo5, 1)
         enc = make_encoding(demo5, params)
         meta = reduction_metadata("binary", demo5, params, enc, include_kn=False)
         assert meta["K"] is None and meta["N"] is None
-        got = metadata_params(meta, need_kn=False)
+        got = metadata_params(meta)
         assert (got.L, got.head_len, got.tail_len) == (params.L, params.head_len, params.tail_len)
         with pytest.raises(FormatError, match="missing 'K'"):
-            metadata_params(meta, need_kn=True)
+            metadata_params({**meta, "kind": "single"})

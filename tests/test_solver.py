@@ -23,9 +23,9 @@ from dfalab import (
     binary_sample,
     brute_force_min,
     chromatic_number,
+    consistency_violations,
     default_params,
     exists_consistent,
-    is_consistent,
     make_encoding,
     min_consistent,
     prefix_tree_acceptor,
@@ -147,7 +147,7 @@ class TestMinConsistent:
     def test_triangle_zhang(self, triangle):
         m_star, w = min_consistent(zhang_sample(triangle), 6)
         assert m_star == 4
-        assert is_consistent(w, zhang_sample(triangle))
+        assert not consistency_violations(w, zhang_sample(triangle))
 
     def test_edgeless_three_vertices(self):
         m_star, _ = min_consistent(zhang_sample(Graph.edgeless(3)), 4)
@@ -227,7 +227,7 @@ def test_a_labeled_leaf_that_gains_transitions_is_placed():
                Alphabet(3))
     m_star, witness = min_consistent(s)
     assert m_star == 3
-    assert is_consistent(witness, s)
+    assert not consistency_violations(witness, s)
 
 
 @pytest.mark.parametrize("budget", [float("nan"), 0.0, -1.0])
@@ -265,7 +265,7 @@ class TestBruteForce:
         s = sample([(0,)], [(), (0, 0)])
         m, w = brute_force_min(s)
         assert m == 2
-        assert is_consistent(w, s)
+        assert not consistency_violations(w, s)
 
     def test_guards(self):
         with pytest.raises(ValueError, match="binary"):
@@ -288,7 +288,7 @@ def test_exact_search_matches_brute_force():
             got, witness = None, None
         assert got == expected
         if witness is not None:
-            assert is_consistent(witness, s)
+            assert not consistency_violations(witness, s)
 
 
 class TestRpni:
@@ -303,14 +303,14 @@ class TestRpni:
         enc = make_encoding(triangle, params)
         s = binary_sample(triangle, params, enc)
         dfa = rpni(s)
-        assert is_consistent(dfa, s)
+        assert not consistency_violations(dfa, s)
         assert dfa.num_states <= prefix_tree_acceptor(s).num_states
 
     def test_demo5_zhang_at_least_four_states(self, demo5):
         # fewer states would contradict the exact minimum
         s = zhang_sample(demo5)
         dfa = rpni(s)
-        assert is_consistent(dfa, s)
+        assert not consistency_violations(dfa, s)
         assert dfa.num_states >= 4
 
     def test_empty_sample_rejected(self):
@@ -450,7 +450,7 @@ def test_m3_binary_minimum_is_160():
     sat = exists_consistent(s, 160)
     assert (sat.status, sat.states_explored) == (SolveStatus.SAT, 27_673)
     assert sat.witness.num_states == 160
-    assert is_consistent(sat.witness, s)
+    assert not consistency_violations(sat.witness, s)
 
 
 def test_zhang_minimum_on_forty_vertices():
@@ -535,7 +535,7 @@ def _check_conflict_matches_its_definition(s, rng):
     pairs = [(u, v) for u in range(n) for v in range(n)]
     rng.shuffle(pairs)  # the answers must not depend on the order of queries
     for u, v in pairs:
-        assert pta.conflict(u, v) == _brute_conflict(pta, u, v), (u, v)
+        assert bool(pta.rows[u] >> v & 1) == _brute_conflict(pta, u, v), (u, v)
 
 
 @settings(max_examples=150, deadline=None)
@@ -562,7 +562,7 @@ def test_conflicting_nodes_never_fold(s):
     n = len(pta.labels)
     for u in range(n):
         for v in range(n):
-            if pta.conflict(u, v):
+            if pta.rows[u] >> v & 1:
                 assert not _unbounded_search(pta).fold(u, v), (u, v)
 
 
@@ -723,7 +723,7 @@ def test_a_merge_without_closure_still_tests_the_labels():
     # the class of 10 out of the class of 1
     s = sample({(0, 0, 1, 0), (1, 0, 1)}, {(0, 1)})
     assert rpni(s) == _greedy_folds(s).completed()
-    assert is_consistent(rpni(s), s)
+    assert not consistency_violations(rpni(s), s)
 
 
 def _depths(pta: _Pta) -> list[int]:

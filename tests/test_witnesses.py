@@ -22,7 +22,6 @@ from dfalab import (
     coloring_from_zhang_dfa,
     consistency_violations,
     default_params,
-    is_consistent,
     is_proper_coloring,
     make_encoding,
     min_consistent,
@@ -51,19 +50,19 @@ class TestZhangForward:
     def test_demo5_reference_coloring(self, demo5):
         w = zhang_dfa_from_coloring(demo5, Coloring((1, 2, 3, 1, 1), 3))
         assert w.num_states == 4
-        assert is_consistent(w, zhang_sample(demo5))
+        assert not consistency_violations(w, zhang_sample(demo5))
 
     def test_single_edge(self):
         g = Graph.path(2)
         w = zhang_dfa_from_coloring(g, Coloring((1, 2), 2))
         assert w.num_states == 3
-        assert is_consistent(w, zhang_sample(g))
+        assert not consistency_violations(w, zhang_sample(g))
 
     def test_edgeless_one_coloring(self):
         g = Graph.edgeless(3)
         w = zhang_dfa_from_coloring(g, Coloring((1, 1, 1), 1))
         assert w.num_states == 2
-        assert is_consistent(w, zhang_sample(g))
+        assert not consistency_violations(w, zhang_sample(g))
 
     def test_improper_coloring_rejected(self, triangle):
         with pytest.raises(ValueError, match="not proper"):
@@ -108,7 +107,7 @@ class TestBinaryForward:
         enc = make_encoding(g, params)
         k, coloring = oracle_coloring(g)
         w = binary_dfa_from_coloring(g, coloring, params, enc)
-        assert is_consistent(w, binary_sample(g, params, enc))
+        assert not consistency_violations(w, binary_sample(g, params, enc))
         assert w.is_acyclic()
         assert w.num_states < bound == (k + 1) * params.L
 
@@ -201,7 +200,7 @@ class TestSingleString:
         _word, sample, _run = single_string(triangle, params, enc)
         k, coloring = oracle_coloring(triangle)
         w = single_dfa_from_coloring(triangle, coloring, params, enc)
-        assert is_consistent(w, sample)
+        assert not consistency_violations(w, sample)
         assert w.num_states <= params.N + (k + 1) * params.L == 201
         back = coloring_from_single_dfa(w, triangle, params, enc)
         assert is_proper_coloring(triangle, back)
@@ -253,7 +252,7 @@ class TestTwoChain:
         dfa = two_chain_dfa(g, params, enc)
         assert dfa.num_states < 2 * (params.N + 2 * params.L)
         _word, sample, _run = single_string(g, params, enc)
-        assert is_consistent(dfa, sample)
+        assert not consistency_violations(dfa, sample)
 
     def test_k4_independent_of_chromatic_number(self, k4):
         # chromatic number 4 exceeds K=3, yet the bound still holds
@@ -263,7 +262,7 @@ class TestTwoChain:
         assert chromatic_number(k4)[0] == 4
         assert dfa.num_states < 2 * (params.N + 2 * params.L)
         _word, sample, _run = single_string(k4, params, enc)
-        assert is_consistent(dfa, sample)
+        assert not consistency_violations(dfa, sample)
 
     def test_needs_an_edge(self):
         g = Graph.edgeless(2)
@@ -419,7 +418,7 @@ class TestChainsOffTheReplay:
         m = (Dfa if target == "self-loop" else PartialDfa)(
             w.num_states, w.alphabet, w.initial, tuple(map(tuple, rows)), w.accepting)
         assert m.num_states <= params.N + (params.K + 1) * params.L
-        assert is_consistent(m, single_string(g, params, enc)[1])
+        assert not consistency_violations(m, single_string(g, params, enc)[1])
         coloring = coloring_from_single_dfa(m, g, params, enc)
         assert is_proper_coloring(g, coloring) and coloring.num_colors <= params.K
         assert coloring.colors[0] == coloring.colors[1]  # vertex 1 heads block 0
