@@ -550,6 +550,42 @@ def test_conflict_matches_its_definition_on_three_symbols(s, rng):
     _check_conflict_matches_its_definition(s, rng)
 
 
+# sha256 of repr(rows) on the bench's samples: the five binary-rpni samples
+# and the six zhang-exact graphs' vertex/edge samples
+ROWS_PINS = [
+    ("demo5", "binary", Graph(5, frozenset(DEMO5_EDGES)), 3, 324,
+     "ce405b4e54add96e6fe3111934b3b221c75d22f86bee0d5775503ea5a8ed259c"),
+    ("c5", "binary", Graph.cycle(5), 3, 291,
+     "c8abd0d2befc693ca7a6305392624076001f669e93246e49e96b2b5afd8dce83"),
+    ("k4", "binary", Graph.complete(4), 4, 248,
+     "9607e119d991a230fde73212f045cef214b510ae9000f7a07a619f3485b67e9b"),
+    ("gnp6-0", "binary", Graph.gnp(6, 0.5, 0), 3, 409,
+     "14700ea0cf212b304977c2fdfc8bcaa30361e296ddec624a1a529f4b34f23aa9"),
+    ("gnp6-2", "binary", Graph.gnp(6, 0.5, 2), 3, 409,
+     "82490ebbb9054b05a4be5a9c2a052274c7edb270d8a2084aef312491bead9f40"),
+    ("gnp19-1", "zhang", Graph.gnp(19, 0.5, 1), None, 192,
+     "ce5ddb18a299e7a1f7ae3ebc0ab0a6f2ca1eb314581ecf6da72ff24850272d91"),
+    ("gnp20-0", "zhang", Graph.gnp(20, 0.5, 0), None, 197,
+     "b71dad8d3d749e04e8dc0a20b5ae5a72d74106310f852e79007ee79b3dcab44d"),
+    ("gnp21-2", "zhang", Graph.gnp(21, 0.5, 2), None, 228,
+     "9401717627217ed6324f150b10314b40ca88eb061be4f99adcb7c6d839630772"),
+    ("gnp23-4", "zhang", Graph.gnp(23, 0.5, 4), None, 282,
+     "0351434b88cd9f254ff51b868afd1d94df68b924ff84c13cd52e0e0929135c73"),
+    ("gnp24-1", "zhang", Graph.gnp(24, 0.5, 1), None, 303,
+     "8a5fd2eb02f779a37d465060fdb3bef4ebaa5941ba58e142743a43df9ed328f8"),
+    ("gnp24-9", "zhang", Graph.gnp(24, 0.5, 9), None, 321,
+     "c75f694052fe9d9038e8244849a6f2e31a816425035f6a348d828dcb37b4467d"),
+]
+
+
+@pytest.mark.parametrize("name, kind, g, K, nodes, digest", ROWS_PINS,
+                         ids=[p[0] for p in ROWS_PINS])
+def test_conflict_rows_are_pinned(name, kind, g, K, nodes, digest):
+    rows = _Pta(_reduced_sample(kind, g, K)).rows
+    assert len(rows) == nodes
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 def _unbounded_search(pta: _Pta) -> _MergeSearch:
     """A search as rpni builds it: no clique, no state bound below the tree size."""
     return _MergeSearch(pta, pta.bfs, [], len(pta.labels), None, False)
@@ -622,6 +658,27 @@ def test_a_class_row_is_its_members_or_and_blocks_the_folds_it_meets(s, data):
                 search.undo(mark)
 
 
+def _partial_quotient(search: _MergeSearch, alphabet: Alphabet) -> PartialDfa:
+    """A reference for the search's result: its classes as a partial DFA,
+    numbered by their lowest node, with a missing entry where no node of a
+    class has the symbol."""
+    roots: list[int] = []
+    index: dict[int, int] = {}
+    for node in range(len(search.rep)):
+        r = search.find(node)
+        if r not in index:
+            index[r] = len(roots)
+            roots.append(r)
+    rows = []
+    for r in roots:
+        row: list[int | None] = [None] * alphabet.size
+        for sym, target in search.trans[r].items():
+            row[sym] = index[search.find(target)]
+        rows.append(tuple(row))
+    accepting = frozenset(index[r] for r in roots if search.label[r] == 1)
+    return PartialDfa(len(roots), alphabet, index[search.find(0)], tuple(rows), accepting)
+
+
 def _greedy_folds(s: DfaSample) -> PartialDfa:
     """RPNI without the conflict check: try every fold, undo the failures."""
     pta = _Pta(s)
@@ -636,7 +693,7 @@ def _greedy_folds(s: DfaSample) -> PartialDfa:
             search.undo(mark)
         else:
             search.commit(node)
-    return search.materialize(s.alphabet)
+    return _partial_quotient(search, s.alphabet)
 
 
 def test_rpni_matches_fold_only_greedy_on_random_samples():
@@ -645,6 +702,14 @@ def test_rpni_matches_fold_only_greedy_on_random_samples():
         s = random_sample(rng, max_strings=10, max_len=6)
         if s.strings():
             assert rpni(s) == _greedy_folds(s).completed()
+
+
+def _reduced_sample(kind: str, g: Graph, K: int | None) -> DfaSample:
+    if kind == "zhang":
+        return zhang_sample(g)
+    params = default_params(g, K)
+    enc = make_encoding(g, params)
+    return binary_sample(g, params, enc) if kind == "binary" else single_string(g, params, enc)[1]
 
 
 # binary samples are bushy and shallow; single strings (K = chi) give the
@@ -665,13 +730,38 @@ GREEDY_SAMPLES = [
 @pytest.mark.parametrize("kind, g, K", [case[1:] for case in GREEDY_SAMPLES],
                          ids=[case[0] for case in GREEDY_SAMPLES])
 def test_rpni_matches_fold_only_greedy_on_binary_samples(kind, g, K):
-    if kind == "zhang":
-        s = zhang_sample(g)
-    else:
-        params = default_params(g, K)
-        enc = make_encoding(g, params)
-        s = binary_sample(g, params, enc) if kind == "binary" else single_string(g, params, enc)[1]
+    s = _reduced_sample(kind, g, K)
     assert rpni(s) == _greedy_folds(s).completed()
+
+
+# sha256 of rpni's JSON on the bench's binary-rpni samples (whose c5 and k4
+# results are BINARY_UPPER_PINS' witnesses), the deepest single string and
+# a zhang sample: the automaton, its state numbering and its completion by
+# self-loops must not change
+RPNI_PINS = [
+    ("demo5", "binary", Graph(5, frozenset(DEMO5_EDGES)), 3, 178,
+     "8b65ea65fe05e3c09e8dcbe259bfb3cef172a541084a7eaaa84fd3235855fee0"),
+    ("c5", "binary", Graph.cycle(5), 3, 161,
+     "fea9beb3c3e40556bea98c401def6107dbb630c0604eae65c3d9977aff49971c"),
+    ("k4", "binary", Graph.complete(4), 4, 219,
+     "098bc94e91d350702b24663cf5c02f4438664b7157c565a76558e13ec82520af"),
+    ("gnp6-0", "binary", Graph.gnp(6, 0.5, 0), 3, 191,
+     "a221d8ae8ac9bc71751ad86f2c7c012d978868e88bd3cf0f143bb3703a5feb56"),
+    ("gnp6-2", "binary", Graph.gnp(6, 0.5, 2), 3, 191,
+     "cc04fcb0ac8b2aefb0bb72bd1f13b0f9290b43d9247c6c732041dd3a1ee5c5a9"),
+    ("single-k3", "single", Graph.complete(3), 3, 260,
+     "9d0fc616170b23a2d9ec5f63d6d7e1eb8ee3203b6e7950cae61098d62e5c394a"),
+    ("zhang-demo5", "zhang", Graph(5, frozenset(DEMO5_EDGES)), None, 4,
+     "1b870501cb9ba67199a628e33b6b54bd08fb0ffb052a9c87cba9018eb583a2a7"),
+]
+
+
+@pytest.mark.parametrize("name, kind, g, K, states, digest", RPNI_PINS,
+                         ids=[p[0] for p in RPNI_PINS])
+def test_rpni_automaton_is_pinned(name, kind, g, K, states, digest):
+    dfa = rpni(_reduced_sample(kind, g, K))
+    assert dfa.num_states == states
+    assert hashlib.sha256(automaton_to_json(dfa).encode()).hexdigest() == digest
 
 
 def _check_merges_match_fold(s: DfaSample) -> None:
