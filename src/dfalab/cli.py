@@ -115,8 +115,13 @@ def _params_for(args, g: Graph, k: int):
 
 
 def _parse_coloring(text: str) -> Coloring:
-    colors = tuple(int(c) for c in text.split(","))
-    return Coloring(colors, max(colors))
+    """Each label replaced by its rank among the distinct labels, so that
+    1,3,1 is the 2-coloring 1,2,1; a label below 1 is refused."""
+    colors = [int(c) for c in text.split(",")]
+    if min(colors) < 1:
+        raise ValueError(f"--coloring label {min(colors)} is below 1")
+    rank = {c: i for i, c in enumerate(sorted(set(colors)), start=1)}
+    return Coloring(tuple(map(rank.__getitem__, colors)), len(rank))
 
 
 def _pick_coloring(args, g: Graph) -> tuple[int, Coloring]:
@@ -342,7 +347,8 @@ _COMMANDS = {
         ("--kind", dict(required=True, choices=[*KINDS, "two-chain"])),
         ("--graph", dict(required=True)),
         ("--K", dict(type=int)),
-        ("--coloring", dict(help="comma-separated colors, e.g. 1,2,3,1,1")),
+        ("--coloring", dict(help="comma-separated colors, e.g. 1,2,3,1,1; labels are "
+                                 "ranked, so 1,3,1 is the 2-coloring 1,2,1")),
         ("--L", dict(type=int)),
         ("--N", dict(type=int)),
         ("--out", dict(required=True, help="automaton JSON path")),

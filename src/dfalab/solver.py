@@ -54,7 +54,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .automata import Dfa, DfaSample, PartialDfa, consistency_violations
+from .automata import Dfa, DfaSample, consistency_violations
 
 
 class SolveStatus(Enum):
@@ -91,6 +91,14 @@ def _check_budget(time_budget: float | None) -> None:
     # NaN fails `> 0` too: a NaN deadline would never pass
     if time_budget is not None and not time_budget > 0:
         raise ValueError("time_budget must be a positive number of seconds")
+
+
+def _check_bound(name: str, bound: int) -> None:
+    # `type` and not isinstance: a bool is an int, and a float must not be cut
+    if type(bound) is not int:
+        raise ValueError(f"{name} must be an int")
+    if bound < 1:
+        raise ValueError(f"{name} must be at least 1")
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -169,7 +177,8 @@ def _conflict_rows(children, labels) -> list[int]:
         row = clash[labels[u]]
         for a, c in children[u].items():
             below = rows[c]
-            row |= sum((below >> d) & mask for d, mask in masks[a])  # disjoint masks: a union
+            for d, mask in masks[a]:
+                row |= below >> d & mask
         rows[u] = row
     return rows
 
@@ -287,7 +296,9 @@ class _MergeSearch:
             if relabeled:
                 label[kept] = 0  # a kept root takes a label only when it had none
 
-    def materialize(self, alphabet) -> PartialDfa:
+    def materialize(self, alphabet) -> Dfa:
+        """The classes as a total DFA, numbered by their lowest node; a
+        symbol that no node of a class has is a self-loop."""
         roots: list[int] = []
         index: dict[int, int] = {}
         for node in range(len(self.rep)):
@@ -297,13 +308,13 @@ class _MergeSearch:
                 roots.append(r)
         size = alphabet.size
         rows = []
-        for r in roots:
-            row: list[int | None] = [None] * size
+        for q, r in enumerate(roots):
+            row = [q] * size
             for sym, target in self.trans[r].items():
                 row[sym] = index[self.find(target)]
             rows.append(tuple(row))
         accepting = frozenset(index[r] for r in roots if self.label[r] == 1)
-        return PartialDfa(len(roots), alphabet, index[self.find(0)], tuple(rows), accepting)
+        return Dfa(len(roots), alphabet, index[self.find(0)], tuple(rows), accepting)
 
     def run(self) -> bool:
         """Depth-first search over merge choices with an explicit stack.
@@ -487,14 +498,14 @@ def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | N
 
     `states_explored` counts the choices taken, as `SolveOutcome` says.
 
-    A max_states below 1, or a time_budget that is not positive (NaN
-    included), is a ValueError; None or inf means no deadline.
+    A max_states that is not an int (a bool or a float) or is below 1, or
+    a time_budget that is not positive (NaN included), is a ValueError;
+    None or inf means no deadline.
 
     `_pta` lets `min_consistent` share one prefix tree, with its conflict
     rows, order and clique, between the state bounds it decides.
     """
-    if max_states < 1:
-        raise ValueError("max_states must be at least 1")
+    _check_bound("max_states", max_states)
     _check_budget(time_budget)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _pta if _pta is not None else _Pta(sample)
@@ -510,7 +521,7 @@ def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | N
         return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
     if not sat:
         return SolveOutcome(SolveStatus.UNSAT, None, search.explored)
-    witness = search.materialize(sample.alphabet).completed()
+    witness = search.materialize(sample.alphabet)
     if consistency_violations(witness, sample):
         raise RuntimeError("solver bug: sat witness is not consistent with the sample")
     return SolveOutcome(SolveStatus.SAT, witness, search.explored)
@@ -530,11 +541,12 @@ def min_consistent(
     rows, search order and clique are built once; each m below the clique
     size is UNSAT with no search.  Raises BoundExceededError when every m up
     to the bound is UNSAT and SolveTimeoutError when the shared time budget
-    runs out first; a time_budget that is not positive (NaN included) is a
-    ValueError, and inf means no deadline.
+    runs out first.  An upper_bound that is not an int (a bool or a float)
+    or is below 1, or a time_budget that is not positive (NaN included), is
+    a ValueError, and inf means no deadline.
     """
-    if upper_bound is not None and upper_bound < 1:
-        raise ValueError("upper_bound must be at least 1")
+    if upper_bound is not None:
+        _check_bound("upper_bound", upper_bound)
     _check_budget(time_budget)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _Pta(sample)
@@ -617,7 +629,7 @@ def rpni(sample: DfaSample) -> Dfa:
     """
     if not sample.strings():
         raise ValueError("rpni needs a nonempty sample")
-    dfa = _rpni_search(_Pta(sample), None).materialize(sample.alphabet).completed()
+    dfa = _rpni_search(_Pta(sample), None).materialize(sample.alphabet)
     if consistency_violations(dfa, sample):
         raise RuntimeError("rpni bug: merged automaton is not consistent with the sample")
     return dfa

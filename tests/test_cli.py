@@ -171,6 +171,24 @@ class TestWitnessExtract:
         assert main(["witness", "--kind", "zhang", "--graph", k3_col,
                      "--coloring", "1,1,2", "--out", str(tmp_path / "w.json")]) == 2
 
+    def test_coloring_labels_are_ranked(self, tmp_path):
+        # 1,3,1 uses two colors: it is the coloring 1,2,1, within K = 2
+        gap, plain = tmp_path / "gap.json", tmp_path / "plain.json"
+        assert main(["witness", "--kind", "binary", "--graph", "p3", "--coloring", "1,3,1",
+                     "--K", "2", "--out", str(gap)]) == 0
+        assert main(["witness", "--kind", "binary", "--graph", "p3", "--coloring", "1,2,1",
+                     "--K", "2", "--out", str(plain)]) == 0
+        assert gap.read_bytes() == plain.read_bytes()
+        assert main(["witness", "--kind", "single", "--graph", "p3", "--coloring", "1,3,1",
+                     "--K", "2", "--out", str(tmp_path / "s.json")]) == 0
+
+    def test_a_coloring_label_below_one_is_usage_error(self, tmp_path, capsys):
+        w = tmp_path / "w.json"
+        assert main(["witness", "--kind", "binary", "--graph", "p3", "--coloring", "0,1,0",
+                     "--K", "2", "--out", str(w)]) == 2
+        assert capsys.readouterr().err == "error: --coloring label 0 is below 1\n"
+        assert not w.exists()
+
     def test_uncolorable_graph_fails(self, tmp_path):
         assert main(["witness", "--kind", "zhang", "--graph", "k4",
                      "--K", "3", "--out", str(tmp_path / "w.json")]) == 1

@@ -76,6 +76,12 @@ class TestExistsConsistent:
         with pytest.raises(ValueError, match="^max_states must be at least 1$"):
             exists_consistent(sample([()], []), 0)
 
+    @pytest.mark.parametrize("bound", [3.5, True], ids=["float", "bool"])
+    def test_max_states_that_is_not_an_int_is_refused(self, bound):
+        # decided as m = 3 and m = 1 if taken for ints
+        with pytest.raises(ValueError, match="^max_states must be an int$"):
+            exists_consistent(zhang_sample(Graph.cycle(5)), bound)
+
     def test_epsilon_positive_needs_one_state(self):
         out = exists_consistent(sample([()], []), 1)
         assert out.status is SolveStatus.SAT
@@ -144,6 +150,12 @@ class TestExistsConsistent:
 
 
 class TestMinConsistent:
+    @pytest.mark.parametrize("bound", [4.5, float("inf"), True], ids=["float", "inf", "bool"])
+    def test_upper_bound_that_is_not_an_int_is_refused(self, bound):
+        # a float fails in range() and True would be taken for 1
+        with pytest.raises(ValueError, match="^upper_bound must be an int$"):
+            min_consistent(zhang_sample(Graph.cycle(5)), bound)
+
     def test_triangle_zhang(self, triangle):
         m_star, w = min_consistent(zhang_sample(triangle), 6)
         assert m_star == 4
