@@ -94,8 +94,7 @@ def _check_budget(time_budget: float | None) -> None:
 
 
 def _check_bound(name: str, bound: int) -> None:
-    # `type` and not isinstance: a bool is an int, and a float must not be cut
-    if type(bound) is not int:
+    if type(bound) is not int:  # not isinstance: a bool is an int
         raise ValueError(f"{name} must be an int")
     if bound < 1:
         raise ValueError(f"{name} must be at least 1")

@@ -48,6 +48,14 @@ def sample(positives, negatives, alphabet=BIN) -> DfaSample:
     return DfaSample(alphabet, frozenset(positives), frozenset(negatives))
 
 
+def _reduced_sample(kind: str, g: Graph, K: int | None) -> DfaSample:
+    if kind == "zhang":
+        return zhang_sample(g)
+    params = default_params(g, K)
+    enc = make_encoding(g, params)
+    return binary_sample(g, params, enc) if kind == "binary" else single_string(g, params, enc)[1]
+
+
 class TestExistsConsistent:
     def test_demo5_zhang_sat_at_four(self, demo5):
         out = exists_consistent(zhang_sample(demo5), 4)
@@ -714,14 +722,6 @@ def test_rpni_matches_fold_only_greedy_on_random_samples():
         s = random_sample(rng, max_strings=10, max_len=6)
         if s.strings():
             assert rpni(s) == _greedy_folds(s).completed()
-
-
-def _reduced_sample(kind: str, g: Graph, K: int | None) -> DfaSample:
-    if kind == "zhang":
-        return zhang_sample(g)
-    params = default_params(g, K)
-    enc = make_encoding(g, params)
-    return binary_sample(g, params, enc) if kind == "binary" else single_string(g, params, enc)[1]
 
 
 # binary samples are bushy and shallow; single strings (K = chi) give the
