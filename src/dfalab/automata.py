@@ -40,10 +40,11 @@ def output_str(bits: Iterable[bool]) -> str:
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Dense symbol indices in [0, size); names are display-only."""
+    """Dense symbol indices in [0, size); names are display-only, so two
+    alphabets are equal when their sizes are."""
 
     size: int
-    names: tuple[str, ...] | None = None
+    names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
@@ -333,12 +334,10 @@ class _Acceptor(_Machine):
                 raise ValueError(f"accepting state {q} out of range")
         object.__setattr__(self, "accepting", accepting)
 
-    def walk(self, word: Iterable[int], start: int | None = None) -> int | None:
-        """Extended transition: the state reached from `start` on `word`,
-        or None once the run falls off a missing transition."""
-        if start is not None and not 0 <= start < self.num_states:
-            raise ValueError(f"start state {start} out of range")
-        state = self.initial if start is None else start
+    def walk(self, word: Iterable[int]) -> int | None:
+        """Extended transition: the state reached from the initial state on
+        `word`, or None once the run falls off a missing transition."""
+        state = self.initial
         trans = self.transitions
         for a in self.alphabet.check_word(word):
             if state is None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from typing import Iterator, NamedTuple
 
+from ._checks import check_budget, check_count
 from .automata import (
     PrefixCompleteness,
     consistency_violations,
@@ -64,16 +65,15 @@ def certify(
 
     `params` (default: `default_params(g, K)`) applies to binary and
     single, `budget` (seconds) to zhang's one solver call, and `ratio`
-    adds binary's RPNI ratio-chain check.  K < 1, a budget that is not
-    positive (NaN included) and illegal parameters raise ValueError before
-    the first check; a spent budget raises SolveTimeoutError.
+    adds binary's RPNI ratio-chain check.  A K that is not an int of at
+    least 1, a budget that is not positive (NaN included) and illegal
+    parameters raise ValueError before the first check; a spent budget
+    raises SolveTimeoutError.
     """
     if kind not in KINDS:
         raise ValueError(f"no such reduction kind {kind!r}; expected one of {', '.join(KINDS)}")
-    if K < 1:
-        raise ValueError("K must be a positive integer")
-    if budget is not None and not budget > 0:
-        raise ValueError("budget must be a positive number of seconds")
+    check_count("K", K)
+    check_budget("budget", budget)
     if kind == "zhang":
         checks = _zhang(g, K, budget)
     else:

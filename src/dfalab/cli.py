@@ -14,6 +14,7 @@ import re
 import sys
 from pathlib import Path
 
+from ._checks import check_budget, check_count
 from .automata import (
     Dfa,
     PartialDfa,
@@ -137,8 +138,7 @@ def _pick_coloring(args, g: Graph) -> tuple[int, Coloring]:
         return k, coloring
     if args.K is None:
         raise ValueError("need --K (or an explicit --coloring)")
-    if args.K < 1:
-        raise ValueError("K must be a positive integer")
+    check_count("K", args.K)
     found = chromatic_number(g, upper_bound=args.K)
     if found is None:
         print(f"no {args.K}-coloring exists for this graph", file=sys.stderr)
@@ -190,10 +190,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.max_m < 1:
-        raise ValueError("--max-m must be at least 1")
-    if args.budget is not None and not args.budget > 0:  # NaN included
-        raise ValueError("--budget must be a positive number of seconds")
+    check_count("--max-m", args.max_m)
+    check_budget("--budget", args.budget)
     sample = sample_from_abbadingo(Path(args.sample).read_text())
     if args.minimize:
         try:

@@ -66,11 +66,8 @@ def automaton_to_dict(a: Automaton) -> dict[str, Any]:
         "initial": a.initial,
         "transitions": _edge_list(a.transitions),
     }
-    if isinstance(a, Dfa):
-        d["type"] = "dfa"
-        d["accepting"] = sorted(a.accepting)
-    elif isinstance(a, PartialDfa):
-        d["type"] = "partial-dfa"
+    if isinstance(a, (Dfa, PartialDfa)):
+        d["type"] = "dfa" if isinstance(a, Dfa) else "partial-dfa"
         d["accepting"] = sorted(a.accepting)
     elif isinstance(a, MooreMachine):
         d["type"] = "moore"
@@ -279,7 +276,7 @@ def sample_from_abbadingo(text: str) -> DfaSample:
             both.add(node)
         labels[node] = sign
     try:
-        alphabet = Alphabet(size) if size != 2 else Alphabet.binary()
+        alphabet = Alphabet(size)
         if both:
             raise SampleError(f"{len(both)} strings labeled both positive and negative")
         return DfaSample._from_tree(alphabet, children, labels)
@@ -288,18 +285,21 @@ def sample_from_abbadingo(text: str) -> DfaSample:
 
 
 # ---------------------------------------------------------------------------
-# Run files (machine samples over single-character symbol names)
+# Run files (binary machine samples)
 
 
 def machine_sample_to_text(ms: MachineSample) -> str:
     """Two lines per run: the input over symbol names, the +/- output.
 
-    Requires every symbol name to be a single character (always true for
-    the binary alphabet the generators use).
+    Refuses what `machine_sample_from_text` cannot read back: any alphabet
+    but the binary one with symbols named 0 and 1, and the empty run, whose
+    two blank lines the reader skips.
     """
     names = [ms.alphabet.name(i) for i in range(ms.alphabet.size)]
-    if any(len(n) != 1 for n in names):
-        raise FormatError("run files need single-character symbol names")
+    if names != ["0", "1"]:
+        raise FormatError("run files hold only the binary alphabet with symbols '0' and '1'")
+    if ((), ()) in ms.runs:
+        raise FormatError("run files cannot hold the empty run")
     lines = []
     for word, out in sorted(ms.runs):
         lines.append("".join(names[a] for a in word))
@@ -308,8 +308,7 @@ def machine_sample_to_text(ms: MachineSample) -> str:
 
 
 def machine_sample_from_text(text: str) -> MachineSample:
-    alphabet = Alphabet.binary()
-    names = {alphabet.name(i): i for i in range(alphabet.size)}
+    names = {"0": 0, "1": 1}
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if len(lines) % 2 != 0:
         raise FormatError("run file must hold pairs of lines (input, output)")
@@ -323,7 +322,7 @@ def machine_sample_from_text(text: str) -> MachineSample:
         if len(word) != len(out):
             raise FormatError(f"lines {word_no}-{out_no}: input and output lengths differ")
         runs.add((word, out))
-    return MachineSample(alphabet, frozenset(runs))
+    return MachineSample(Alphabet.binary(), frozenset(runs))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from ._checks import check_count
+
 
 class DimacsError(ValueError):
     def __init__(self, message: str, line_no: int | None = None):
@@ -133,8 +135,8 @@ def _rows_order_clique(g: Graph) -> tuple[list[int], list[int], list[int]]:
 
 
 def colorable(g: Graph, k: int) -> Coloring | None:
-    """The first proper coloring with at most k colors found, or None.
-
+    """The first proper coloring with at most k colors found, or None; k
+    must be an int of at least 1 (else ValueError).
     A fail-first search on an explicit stack, after DSATUR (Brelaz 1979)
     and San Segundo (2012).  The greedy clique takes colors 1..|clique|;
     each color class is kept as `blocked`, the OR of its members' rows.  At
@@ -146,6 +148,7 @@ def colorable(g: Graph, k: int) -> Coloring | None:
     tries the classes that admit it in creation order, then a new class
     while fewer than k are open.
     """
+    check_count("k", k)
     return _first_coloring(*_rows_order_clique(g), k)
 
 
@@ -204,10 +207,12 @@ def chromatic_number(g: Graph, upper_bound: int | None = None) -> tuple[int, Col
     """Exact minimum color count with a proper witness coloring.
 
     `colorable` at k = the greedy clique's size, then one more each time,
-    up to upper_bound (n when none is given).  Returns None only under an
-    upper_bound, when every proper coloring needs more than upper_bound colors.
+    up to upper_bound (n when none is given; else an int of at least 1).
+    Returns None only under an upper_bound, when every proper coloring
+    needs more than upper_bound colors.
     """
     top = g.num_vertices if upper_bound is None else upper_bound
+    check_count("upper_bound", top)
     rows, order, clique = _rows_order_clique(g)
     for k in range(len(clique), top + 1):
         found = _first_coloring(rows, order, clique, k)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._checks import check_count
 from .automata import Alphabet, DfaSample, MachineSample, Run, Word
 from .graphs import Graph
 
@@ -40,7 +41,8 @@ def head_tail_lengths(g: Graph) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ReductionParams:
-    """Size knobs: K target colors, L body length, N leading-zero run."""
+    """Size knobs, each an int of at least 1: K target colors, L body length,
+    N leading-zero run, and the head and tail code lengths."""
 
     K: int
     L: int
@@ -50,8 +52,7 @@ class ReductionParams:
 
     def __post_init__(self) -> None:
         for name in ("K", "L", "N", "head_len", "tail_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            check_count(name, getattr(self, name))
 
     def block_len(self) -> int:
         """Length of one 0^N + head + body + tail block of the single string."""
@@ -60,8 +61,6 @@ class ReductionParams:
 
 def default_params(g: Graph, K: int) -> ReductionParams:
     """Smallest legal parameter values for the given graph and color count."""
-    if K < 1:
-        raise ValueError("K must be a positive integer")
     head_len, tail_len = head_tail_lengths(g)
     L = 4 * g.num_vertices + 2 * g.num_edges * tail_len + 1
     N = (K + 1) * L + 1

@@ -54,6 +54,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
+from ._checks import check_budget, check_count
 from .automata import Dfa, DfaSample, consistency_violations
 
 
@@ -85,19 +86,6 @@ class SolveTimeoutError(RuntimeError):
 
 class _Timeout(Exception):
     pass
-
-
-def _check_budget(time_budget: float | None) -> None:
-    # NaN fails `> 0` too: a NaN deadline would never pass
-    if time_budget is not None and not time_budget > 0:
-        raise ValueError("time_budget must be a positive number of seconds")
-
-
-def _check_bound(name: str, bound: int) -> None:
-    if type(bound) is not int:  # not isinstance: a bool is an int
-        raise ValueError(f"{name} must be an int")
-    if bound < 1:
-        raise ValueError(f"{name} must be at least 1")
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -196,13 +184,13 @@ class _MergeSearch:
     OR cannot be taken out.  Nothing reads `crow` at a root once dropped.
 
     A childless node labeled like some clique node is deferred: it is left
-    out of `order` and placed only at the end (see `run`).  `fail_first`
-    selects the exact search's node choice and forced-class bound; without
-    it `run` takes the nodes in `order`, as `rpni` does.
+    out of `order` and placed only at the end (see `run`).  A clique, which
+    the exact search always has, selects its fail-first node choice and
+    forced-class bound; without one `run` takes the nodes in `order`.
     """
 
     def __init__(self, pta: _Pta, order: list[int], clique: list[int], max_states: int,
-                 deadline: float | None, fail_first: bool):
+                 deadline: float | None):
         self.crow = list(pta.rows)
         self.rep = list(range(len(pta.children)))
         self.label = list(pta.labels)
@@ -221,7 +209,7 @@ class _MergeSearch:
         self.order = [node for node in order if node not in self.rank and node not in deferred]
         self.max_states = max_states
         self.deadline = deadline
-        self.fail_first = fail_first
+        self.fail_first = bool(clique)  # rpni's clique is empty, the exact search's never
         self.explored = 0
 
     def commit(self, root: int) -> None:
@@ -343,8 +331,8 @@ class _MergeSearch:
         bits: two classes whose roots are unlabeled may still hold opposite
         labels.
 
-        Without `fail_first` the next node is the first root of `order`
-        not yet placed.  With it, `unplaced` holds the uncommitted roots
+        With no clique the next node is the first root of `order` not yet
+        placed.  With one, `unplaced` holds the uncommitted roots
         that are not deferred childless nodes, saved in each frame as it was
         at the push: a revisit restores it with the trail, and a choice takes
         out the node and each root its closure dropped, and puts in each
@@ -504,8 +492,8 @@ def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | N
     `_pta` lets `min_consistent` share one prefix tree, with its conflict
     rows, order and clique, between the state bounds it decides.
     """
-    _check_bound("max_states", max_states)
-    _check_budget(time_budget)
+    check_count("max_states", max_states)
+    check_budget("time_budget", time_budget)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _pta if _pta is not None else _Pta(sample)
     search = None
@@ -514,7 +502,7 @@ def exists_consistent(sample: DfaSample, max_states: int, time_budget: float | N
         order, clique = pta.search_plan(deadline)
         if len(clique) > max_states:
             return SolveOutcome(SolveStatus.UNSAT, None, 0)
-        search = _MergeSearch(pta, order, clique, max_states, deadline, True)
+        search = _MergeSearch(pta, order, clique, max_states, deadline)
         sat = search.run()
     except _Timeout:
         return SolveOutcome(SolveStatus.TIMEOUT, None, search.explored if search else 0)
@@ -545,8 +533,8 @@ def min_consistent(
     a ValueError, and inf means no deadline.
     """
     if upper_bound is not None:
-        _check_bound("upper_bound", upper_bound)
-    _check_budget(time_budget)
+        check_count("upper_bound", upper_bound)
+    check_budget("time_budget", time_budget)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     pta = _Pta(sample)
     if upper_bound is None:
@@ -569,22 +557,20 @@ def min_consistent(
     raise BoundExceededError(f"no consistent DFA with at most {upper_bound} states")
 
 
-def brute_force_min(sample: DfaSample, m_max: int = 3) -> tuple[int, Dfa]:
+def brute_force_min(sample: DfaSample) -> tuple[int, Dfa]:
     """Independent oracle: enumerate every transition table outright.
 
-    Only for binary alphabets and m_max <= 3, where total enumeration is
-    cheap.  The initial state is fixed to 0 (any DFA is isomorphic to one
-    rooted at 0, and consistency is isomorphism-invariant); accepting sets
-    are forced by the end state of each sample string rather than
-    enumerated.
+    Only for binary alphabets and up to 3 states (BoundExceededError
+    above), where total enumeration is cheap.  The initial state is fixed
+    to 0 (any DFA is isomorphic to one rooted at 0, and consistency is
+    isomorphism-invariant); accepting sets are forced by the end state of
+    each sample string rather than enumerated.
     """
     if sample.alphabet.size != 2:
         raise ValueError("brute-force oracle only covers binary alphabets")
-    if not 1 <= m_max <= 3:
-        raise ValueError("brute-force oracle is limited to m_max in [1, 3]")
     words = sorted(sample.strings())
     positives = sample.positives
-    for m in range(1, m_max + 1):
+    for m in range(1, 4):
         for table in itertools.product(range(m), repeat=2 * m):
             labels: list[bool | None] = [None] * m
             ok = True
@@ -602,13 +588,13 @@ def brute_force_min(sample: DfaSample, m_max: int = 3) -> tuple[int, Dfa]:
                 rows = tuple((table[2 * q], table[2 * q + 1]) for q in range(m))
                 accepting = frozenset(q for q in range(m) if labels[q])
                 return m, Dfa(m, sample.alphabet, 0, rows, accepting)
-    raise BoundExceededError(f"no consistent DFA with at most {m_max} states")
+    raise BoundExceededError("no consistent DFA with at most 3 states")
 
 
 def _rpni_search(pta: _Pta, deadline: float | None) -> _MergeSearch:
     """The first descent over breadth-first order, run: every class it
     keeps is committed, one per state of the RPNI automaton."""
-    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), deadline, False)
+    search = _MergeSearch(pta, pta.bfs, [], len(pta.labels), deadline)
     search.run()
     return search
 

@@ -156,7 +156,7 @@ def test_criterion_6_solver_exactness():
         for _ in range(200):
             s = random_sample(rng, max_strings=8, max_len=5)
             try:
-                expected, _ = brute_force_min(s, m_max=3)
+                expected, _ = brute_force_min(s)
             except BoundExceededError:
                 expected = None
             try:

@@ -315,15 +315,6 @@ class TestTableChecks:
         for cls in (MooreMachine, MealyMachine):
             assert not hasattr(cls, "walk") and not hasattr(cls, "accepts")
 
-    @pytest.mark.parametrize("cls", ACCEPTORS, ids=by_name)
-    def test_walk_refuses_a_start_that_is_not_a_state(self, cls):
-        one = table(cls, 1, 0, ((0, 0),))
-        for start in (7, 1, -1):
-            for word in ((), (0,)):
-                with pytest.raises(ValueError, match=rf"^start state {start} out of range$"):
-                    one.walk(word, start)
-        assert one.walk((0, 1), 0) == 0
-
     def test_dfa_and_partial_dfa_are_unrelated(self):
         dfa = table(Dfa, 1, 0, ((0, 0),))
         partial = table(PartialDfa, 1, 0, ((0, 0),))
@@ -408,14 +399,6 @@ def samples(draw):
     labels = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
     pos = frozenset(w for w, l in zip(words, labels) if l)
     return DfaSample(Alphabet(k), pos, frozenset(words) - pos)
-
-
-@given(dfa_and_word(), st.data())
-def test_walk_composes(pair, data):
-    dfa, word = pair
-    cut = data.draw(st.integers(0, len(word)))
-    via = dfa.walk(word[cut:], start=dfa.walk(word[:cut]))
-    assert via == dfa.walk(word)
 
 
 @given(samples())

@@ -86,7 +86,15 @@ def test_illegal_parameters_raise_before_any_check():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("K", [0, -3])
 def test_a_color_bound_below_one_raises_before_any_check(kind, K):
-    with pytest.raises(ValueError, match="K must be a positive integer"):
+    with pytest.raises(ValueError, match="^K must be at least 1$"):
+        next(certify(kind, Graph.complete(3), K))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("K", [2.5, True], ids=["float", "bool"])
+def test_a_color_bound_that_is_not_an_int_raises_before_any_check(kind, K):
+    # 2.5 made zhang's first check read "graph admits a 2.5-coloring" and fail
+    with pytest.raises(ValueError, match="^K must be an int$"):
         next(certify(kind, Graph.complete(3), K))
 
 

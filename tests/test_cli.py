@@ -199,7 +199,7 @@ class TestWitnessExtract:
         w = tmp_path / "w.json"
         assert main(["witness", "--kind", kind, "--graph", k3_col, f"--K={K}", "--out", str(w)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: K must be a positive integer\n"
+        assert captured.err == "error: K must be at least 1\n"
         assert not w.exists()
 
     def test_binary_extract_uses_metadata(self, k3_col, tmp_path, capsys):
@@ -339,7 +339,7 @@ class TestVerify:
         assert main(["verify", "--kind", kind, "--graph", k3_col, f"--K={K}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: K must be a positive integer\n"
+        assert captured.err == "error: K must be at least 1\n"
 
     def test_illegal_override_is_usage_error(self, k3_col):
         assert main(["verify", "--kind", "binary", "--graph", k3_col,
@@ -444,13 +444,27 @@ class TestConvertAndDot:
         ]
 
     def test_incompatible_conversion(self, demo5_col, tmp_path):
-        # demo5's vertex/edge alphabet has 11 symbols, so symbol 10 gets a
-        # two-character name and cannot be written as a run file
+        # demo5's vertex/edge alphabet has 11 symbols, and run files hold
+        # only the binary alphabet
         sample_path = tmp_path / "z.abb"
         main(["reduce", "zhang", "--graph", demo5_col, "--out", str(sample_path)])
         code = main(["convert", "--to", "machine-sample", str(sample_path),
                      str(tmp_path / "r.txt")])
         assert code == 2
+
+    def test_a_ternary_sample_is_refused_not_written(self, tmp_path, capsys):
+        # prefix-complete over 3 symbols: the runs 02 and 21 were written,
+        # and the reader then refused the file
+        sample_path, runs = tmp_path / "t.abb", tmp_path / "r.txt"
+        sample_path.write_text("5 3\n1 0\n0 1 0\n1 2 0 2\n1 1 2\n0 2 2 1\n")
+        assert main(["convert", "--to", "machine-sample", str(sample_path), str(runs)]) == 2
+        assert not runs.exists()
+        runs.write_text("02\n-+\n21\n+-\n")
+        assert main(["convert", "--to", "dfa-sample", str(runs), str(tmp_path / "back.abb")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: run files hold only the binary alphabet with symbols '0' and '1'",
+            "error: line 1: unknown input symbol '2'",
+        ]
 
     def test_dot_is_deterministic(self, k3_col, tmp_path):
         w = tmp_path / "w.json"

@@ -14,6 +14,8 @@ from dfalab import (
     DfaSample,
     Graph,
     MachineSample,
+    MealyMachine,
+    MooreMachine,
     PartialDfa,
     default_params,
     make_encoding,
@@ -198,7 +200,7 @@ def ref_sample_from_abbadingo(text: str) -> DfaSample:
             raise FormatError(f"line {line_no}: declared length {length}, got {len(word)} symbols")
         (pos if label else neg).add(word)
     try:
-        return DfaSample(Alphabet(size) if size != 2 else Alphabet.binary(), frozenset(pos), frozenset(neg))
+        return DfaSample(Alphabet(size), frozenset(pos), frozenset(neg))
     except ValueError as e:
         raise FormatError(str(e)) from None
 
@@ -216,15 +218,15 @@ def outcome(parse, text: str):
 
 
 @st.composite
-def samples(draw):
-    """Samples over 1-3 symbols, prefix-closed or not."""
-    k = draw(st.integers(1, 3))
+def samples(draw, k=None):
+    """Samples over k symbols (default: 1-3), prefix-closed or not."""
+    k = draw(st.integers(1, 3)) if k is None else k
     words = draw(st.sets(st.lists(st.integers(0, k - 1), max_size=7).map(tuple), max_size=14))
     if draw(st.booleans()):
         words = {w[:i] for w in words for i in range(len(w) + 1)}
     signs = draw(st.lists(st.booleans(), min_size=len(words), max_size=len(words)))
     pos = {w for w, plus in zip(sorted(words), signs) if plus}
-    return DfaSample(Alphabet(k) if k != 2 else Alphabet.binary(), pos, words - pos)
+    return DfaSample(Alphabet(k), pos, words - pos)
 
 
 SPACES = st.sampled_from([" ", "  ", "\t", " \t ", "\xa0"])
@@ -351,7 +353,17 @@ class TestRunFiles:
     def test_multicharacter_names_rejected(self):
         a = Alphabet(2, ("aa", "b"))
         ms = MachineSample(a, frozenset({((0,), (True,))}))
-        with pytest.raises(FormatError, match="single-character"):
+        with pytest.raises(FormatError, match="^run files hold only the binary alphabet"):
+            machine_sample_to_text(ms)
+
+    @pytest.mark.parametrize("alphabet", [Alphabet(1), Alphabet(3), Alphabet(2, ("a", "b")),
+                                          Alphabet(2, ("1", "0"))],
+                             ids=["unary", "ternary", "named", "swapped"])
+    def test_the_writer_refuses_what_the_reader_cannot_read(self, alphabet):
+        # single-character names were written, and the reader takes only 0 and 1
+        ms = MachineSample(alphabet, frozenset({((0,), (True,))}))
+        with pytest.raises(FormatError, match="^run files hold only the binary alphabet "
+                                              "with symbols '0' and '1'$"):
             machine_sample_to_text(ms)
 
     def test_unknown_symbol(self):
@@ -369,6 +381,46 @@ class TestRunFiles:
             machine_sample_from_text("01\n+-\n0\n\n*\n")
         with pytest.raises(FormatError, match="^lines 3-5: input and output lengths differ$"):
             machine_sample_from_text("\n\n01\n\n+\n")
+
+
+@st.composite
+def automata(draw, k, kinds=("dfa", "partial-dfa", "moore", "mealy")):
+    """An automaton of one of the document types over Alphabet(k)."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(kinds))
+    targets = st.integers(0, n - 1)
+    if kind == "partial-dfa":
+        targets = st.none() | targets
+    rows = tuple(tuple(draw(targets) for _ in range(k)) for _ in range(n))
+    initial = draw(st.integers(0, n - 1))
+    flags = st.lists(st.booleans(), min_size=n, max_size=n)
+    if kind == "moore":
+        return MooreMachine(n, Alphabet(k), initial, rows, draw(flags))
+    if kind == "mealy":
+        output = [draw(st.lists(st.booleans(), min_size=k, max_size=k)) for _ in range(n)]
+        return MealyMachine(n, Alphabet(k), initial, rows, output)
+    accepting = frozenset(q for q, on in enumerate(draw(flags)) if on)
+    return (Dfa if kind == "dfa" else PartialDfa)(n, Alphabet(k), initial, rows, accepting)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_every_format_reads_back_an_equal_value(k, data):
+    # over a nameless alphabet of each size; size 2 read back unequal while
+    # the readers named its symbols and equality compared names
+    sample = data.draw(samples(k))
+    assert sample_from_abbadingo(sample_to_abbadingo(sample)) == sample
+    machine = data.draw(automata(k))
+    assert automaton_from_json(automaton_to_json(machine)) == machine
+    if k == 2:
+        mealy = data.draw(automata(2, ["mealy"]))
+        words = data.draw(st.sets(st.lists(st.integers(0, 1), max_size=6).map(tuple), max_size=8))
+        runs = MachineSample(Alphabet(2), {(w, mealy.outputs(w)) for w in words})
+        if ((), ()) in runs.runs:  # two blank lines, which the reader skips
+            with pytest.raises(FormatError, match="^run files cannot hold the empty run$"):
+                machine_sample_to_text(runs)
+        else:
+            assert machine_sample_from_text(machine_sample_to_text(runs)) == runs
 
 
 class TestDot:

@@ -122,11 +122,21 @@ class TestChromaticNumber:
             assert is_proper_coloring(g, witness)
         assert chromatic_number(g, upper_bound=1) is None
 
+    @pytest.mark.parametrize("value", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_a_count_that_is_not_an_int_of_at_least_1_is_refused(self, c5, value):
+        # 2.5 and True were taken for bounds below 3 (None), and 2.5 broke range()
+        message = "must be an int" if type(value) is not int else "must be at least 1"
+        with pytest.raises(ValueError, match=f"^k {message}$"):
+            colorable(c5, value)
+        with pytest.raises(ValueError, match=f"^upper_bound {message}$"):
+            chromatic_number(c5, upper_bound=value)
+
     @pytest.mark.parametrize("n", [1, 4])
     def test_edgeless_needs_one_color(self, n):
         g = Graph.edgeless(n)
         for bound in (-1, 0):
-            assert chromatic_number(g, upper_bound=bound) is None
+            with pytest.raises(ValueError, match="^upper_bound must be at least 1$"):
+                chromatic_number(g, upper_bound=bound)
         for bound in (1, 2, n + 1, None):
             assert chromatic_number(g, upper_bound=bound) == (1, Coloring((1,) * n, 1))
 
@@ -178,7 +188,7 @@ def test_chromatic_number_is_pinned_on_seeded_random_graphs():
 def test_upper_bound_matches_the_exhaustive_oracle(n, p, seed):
     g = Graph.gnp(n, p, seed=seed)
     chi = oracle_chromatic(g)
-    for bound in range(-1, n + 2):
+    for bound in range(1, n + 2):
         found = chromatic_number(g, upper_bound=bound)
         first = colorable(g, bound)
         if bound < chi:

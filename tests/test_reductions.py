@@ -50,6 +50,21 @@ class TestParams:
         with pytest.raises(ValueError):
             ReductionParams(K=0, L=1, N=1, head_len=1, tail_len=1)
 
+    @pytest.mark.parametrize("field", ["K", "L", "N", "head_len", "tail_len"])
+    @pytest.mark.parametrize("value", [25.5, True, 0], ids=["float", "bool", "zero"])
+    def test_every_field_is_an_int_of_at_least_1(self, field, value):
+        # L=25.5 was accepted and broke binary_sample with a TypeError
+        message = "must be an int" if type(value) is not int else "must be at least 1"
+        fields = {"K": 3, "L": 30, "N": 121, "head_len": 2, "tail_len": 2, field: value}
+        with pytest.raises(ValueError, match=f"^{field} {message}$"):
+            ReductionParams(**fields)
+
+    @pytest.mark.parametrize("K", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_default_params_checks_K(self, triangle, K):
+        message = "must be an int" if type(K) is not int else "must be at least 1"
+        with pytest.raises(ValueError, match=f"^K {message}$"):
+            default_params(triangle, K)
+
 
 class TestEncoding:
     def test_demo5_codes(self, demo5):

@@ -290,8 +290,6 @@ class TestBruteForce:
     def test_guards(self):
         with pytest.raises(ValueError, match="binary"):
             brute_force_min(sample([], [], Alphabet(3)))
-        with pytest.raises(ValueError, match="m_max"):
-            brute_force_min(sample([], []), m_max=4)
 
 
 def test_exact_search_matches_brute_force():
@@ -608,7 +606,7 @@ def test_conflict_rows_are_pinned(name, kind, g, K, nodes, digest):
 
 def _unbounded_search(pta: _Pta) -> _MergeSearch:
     """A search as rpni builds it: no clique, no state bound below the tree size."""
-    return _MergeSearch(pta, pta.bfs, [], len(pta.labels), None, False)
+    return _MergeSearch(pta, pta.bfs, [], len(pta.labels), None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -785,7 +783,7 @@ def _check_merges_match_fold(s: DfaSample) -> None:
     pta = _Pta(s)
     order, clique = pta.search_plan(None)
     searches = [_unbounded_search(pta)]
-    searches += [_MergeSearch(pta, order, clique, m, None, True) for m in range(len(clique), 7)]
+    searches += [_MergeSearch(pta, order, clique, m, None) for m in range(len(clique), 7)]
     for search in searches:
         if not search.run():
             continue

@@ -406,7 +406,7 @@ class TestChainsOffTheReplay:
         enc = make_encoding(g, params)
         w = single_dfa_from_coloring(g, oracle_coloring(g)[1], params, enc)
         code = enc.vertex_codes[0]
-        source = w.walk(code[:-1], start=w.walk((0,) * params.N))
+        source = w.walk((0,) * params.N + code[:-1])
         assert code[-1] == 0 and not any(0 in edge for edge in g.edges)
         return g, params, enc, w, source
 
