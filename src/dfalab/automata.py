@@ -22,6 +22,8 @@ from enum import Enum
 from itertools import chain, compress, count, islice, repeat
 from operator import gt, not_
 
+from ._checks import check_count
+
 Word = tuple[int, ...]
 Run = tuple[Word, tuple[bool, ...]]  # an input word and the label of each nonempty prefix
 
@@ -47,8 +49,7 @@ class Alphabet:
     names: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("alphabet must have at least one symbol")
+        check_count("alphabet size", self.size)
         if self.names is not None:
             names = tuple(self.names)
             object.__setattr__(self, "names", names)

@@ -30,7 +30,6 @@ from .formats import (
     graph_sha256,
     machine_sample_from_text,
     machine_sample_to_text,
-    metadata_encoding,
     metadata_from_json,
     metadata_params,
     reduction_metadata,
@@ -161,10 +160,10 @@ def cmd_reduce(args) -> int:
     out = Path(args.out)
     meta_path = Path(args.meta) if args.meta else out.with_suffix(out.suffix + ".meta.json")
 
+    params = None
     if args.kind == "zhang":
         _warn_zhang_lengths(args)
         sample = zhang_sample(g)
-        meta = reduction_metadata("zhang", g)
     else:
         if args.kind == "single" and args.K is None:
             raise ValueError("reduce single needs --K (it fixes the zero-run length N)")
@@ -175,16 +174,14 @@ def cmd_reduce(args) -> int:
         enc = make_encoding(g, params)
         if args.kind == "binary":
             sample = binary_sample(g, params, enc)
-            meta = reduction_metadata("binary", g, params, enc, include_kn=args.K is not None)
         else:
             word, sample, run = single_string(g, params, enc)
-            meta = reduction_metadata("single", g, params, enc)
             run_path = Path(args.run) if args.run else out.with_suffix(out.suffix + ".run.txt")
             run_path.write_text(machine_sample_to_text(run))
             print(f"wrote run of length {len(word)} to {run_path}")
 
     out.write_text(sample_to_abbadingo(sample))
-    meta_path.write_text(dumps_json(meta))
+    meta_path.write_text(dumps_json(reduction_metadata(args.kind, g, params)))
     print(f"wrote {sample.size()} labeled strings to {out} (metadata: {meta_path})")
     return EXIT_OK
 
@@ -226,6 +223,7 @@ def cmd_witness(args) -> int:
     else:
         k, coloring = _pick_coloring(args, g)
         if args.kind == "zhang":
+            _warn_zhang_lengths(args)
             machine = zhang_dfa_from_coloring(g, coloring)
         else:
             params = _params_for(args, g, k)
@@ -251,6 +249,8 @@ def cmd_extract(args) -> int:
     g = _load_graph(args.graph, args.seed)
     machine = _load_dfa(args.dfa, "extract")
     if args.kind == "zhang":
+        if args.meta:
+            print("warning: --meta is ignored for the zhang reduction", file=sys.stderr)
         coloring = coloring_from_zhang_dfa(machine, g)
     else:
         if not args.meta:
@@ -261,7 +261,7 @@ def cmd_extract(args) -> int:
         if meta.get("graph_sha256") != graph_sha256(g):
             raise ValueError("metadata was generated from a different graph")
         params = metadata_params(meta)
-        enc = metadata_encoding(meta)
+        enc = make_encoding(g, params)
         if args.kind == "binary":
             coloring = coloring_from_binary_dfa(machine, g, params, enc)
         else:
@@ -282,6 +282,9 @@ def cmd_verify(args) -> int:
         params = None
     else:
         params = _params_for(args, g, args.K)
+        if args.budget is not None:
+            check_budget("budget", args.budget)  # an invalid value is an error, not a warning
+            print(f"warning: --budget is ignored for the {args.kind} reduction", file=sys.stderr)
     label = f"VERIFY {args.kind} {args.graph} K={args.K}"
     for check in certify(args.kind, g, args.K, params, args.budget, args.ratio):
         line = f"CHECK {check.name}: {'PASS' if check.ok else 'FAIL'}"

@@ -29,7 +29,7 @@ from .automata import (
     output_str,
 )
 from .graphs import Graph, emit_dimacs
-from .reductions import Encoding, ReductionParams
+from .reductions import ReductionParams
 
 Automaton = Dfa | PartialDfa | MooreMachine | MealyMachine
 
@@ -364,43 +364,25 @@ def graph_sha256(g: Graph) -> str:
     return hashlib.sha256(emit_dimacs(g).encode()).hexdigest()
 
 
-def reduction_metadata(
-    kind: str,
-    g: Graph,
-    params: ReductionParams | None = None,
-    enc: Encoding | None = None,
-    include_kn: bool = True,
-) -> dict[str, Any]:
-    """Self-describing record of one generated instance.
+# The parameters each kind's extraction reads back.  Binary strings do
+# not depend on K or N, so a binary sidecar holds neither.
+_METADATA_FIELDS = {
+    "zhang": (),
+    "binary": ("L", "head_len", "tail_len"),
+    "single": ("K", "L", "N", "head_len", "tail_len"),
+}
 
-    Everything a later extraction needs (parameters and codes) plus a hash
-    pinning the graph the instance came from.  K and N are recorded
-    together or not at all (`include_kn`), since N is derived from K.
+
+def reduction_metadata(kind: str, g: Graph, params: ReductionParams | None = None) -> dict[str, Any]:
+    """The sidecar of one generated instance: its kind, a hash pinning the
+    graph, and the parameters its extraction reads back (`_METADATA_FIELDS`;
+    zhang needs none, so `params` is for binary and single).  The vertex
+    and edge codes are not recorded: they are `make_encoding(g, params)`.
     """
-    d: dict[str, Any] = {
-        "kind": kind,
-        "graph_sha256": graph_sha256(g),
-        "num_vertices": g.num_vertices,
-        "num_edges": g.num_edges,
-        "K": None,
-        "L": None,
-        "N": None,
-        "head_len": None,
-        "tail_len": None,
-        "vertex_codes": None,
-        "edge_codes": None,
-    }
-    if params is not None:
-        d["L"] = params.L
-        d["head_len"] = params.head_len
-        d["tail_len"] = params.tail_len
-        if include_kn:
-            d["K"] = params.K
-            d["N"] = params.N
-    if enc is not None:
-        d["vertex_codes"] = enc.vertex_strs()
-        d["edge_codes"] = enc.edge_strs()
-    return d
+    if params is None and _METADATA_FIELDS[kind]:
+        raise ValueError(f"a {kind} sidecar needs the reduction's params")
+    recorded = {field: getattr(params, field) for field in _METADATA_FIELDS[kind]}
+    return {"kind": kind, "graph_sha256": graph_sha256(g), **recorded}
 
 
 def metadata_from_json(text: str) -> dict[str, Any]:
@@ -408,20 +390,17 @@ def metadata_from_json(text: str) -> dict[str, Any]:
 
 
 def metadata_params(meta: dict[str, Any]) -> ReductionParams:
-    """The recorded parameters; a single-string record must hold K and N."""
-    for field in ("L", "head_len", "tail_len") + (("K", "N") if meta.get("kind") == "single" else ()):
+    """The parameters a binary or single sidecar records.  A binary one
+    gets the placeholders K = 1 and N = 2L + 1, which its strings do not
+    use; fields the kind does not record are ignored, so older sidecars,
+    which also held counts and codes, still read.
+    """
+    kind = meta.get("kind")
+    fields = _METADATA_FIELDS.get(kind) if isinstance(kind, str) else None
+    if not fields:
+        raise FormatError(f"metadata of kind {kind!r} records no reduction parameters")
+    for field in fields:
         if meta.get(field) is None:
             raise FormatError(f"metadata is missing {field!r}")
-    given = {f: _integer(meta[f], f, "metadata")
-             for f in ("K", "L", "N", "head_len", "tail_len") if meta.get(f) is not None}
+    given = {f: _integer(meta[f], f, "metadata") for f in fields}
     return ReductionParams(**{"K": 1, "N": given["L"] * 2 + 1, **given})
-
-
-def metadata_encoding(meta: dict[str, Any]) -> Encoding:
-    groups = [meta.get("vertex_codes"), meta.get("edge_codes")]
-    if None in groups:
-        raise FormatError("metadata is missing the vertex/edge codes")
-    for group in groups:
-        if not isinstance(group, list) or not all(isinstance(s, str) and set(s) <= {"0", "1"} for s in group):
-            raise FormatError("metadata codes must be lists of strings of 0s and 1s")
-    return Encoding(*(tuple(tuple(map(int, s)) for s in group) for group in groups))

@@ -26,8 +26,7 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.num_vertices < 1:
-            raise ValueError("graph needs at least one vertex")
+        check_count("num_vertices", self.num_vertices)
         norm = set()
         for e in self.edges:
             u, v = e

@@ -115,12 +115,6 @@ class Encoding:
             if len(widths) > 1:
                 raise ValueError(f"{label} codes must share one width")
 
-    def vertex_strs(self) -> list[str]:
-        return ["".join(map(str, c)) for c in self.vertex_codes]
-
-    def edge_strs(self) -> list[str]:
-        return ["".join(map(str, c)) for c in self.edge_codes]
-
 
 def make_encoding(g: Graph, params: ReductionParams) -> Encoding:
     """Vertex i gets the head_len-bit binary of i; edge codes follow the

@@ -245,6 +245,14 @@ def by_name(cls) -> str:
     return cls.__name__
 
 
+@pytest.mark.parametrize("size", [2.5, True, 0], ids=["float", "bool", "zero"])
+def test_an_alphabet_size_that_is_not_an_int_of_at_least_1_is_refused(size):
+    # 2.5 and True were accepted as sizes
+    message = "must be an int" if type(size) is not int else "must be at least 1"
+    with pytest.raises(ValueError, match=f"^alphabet size {message}$"):
+        Alphabet(size)
+
+
 class TestTableChecks:
     @pytest.mark.parametrize("cls", TABLE_TYPES, ids=by_name)
     def test_rows_and_targets(self, cls):

@@ -29,6 +29,33 @@ def k3_col(tmp_path):
     return str(path)
 
 
+# the sidecar `reduce binary|single --graph k3 --K 3` wrote, byte for byte,
+# when it also recorded the counts and the codes (and binary's K and N);
+# %s is the kind
+OLDER_K3_SIDECAR = """{
+  "K": 3,
+  "L": 25,
+  "N": 101,
+  "edge_codes": [
+    "00",
+    "01",
+    "10"
+  ],
+  "graph_sha256": "94ff9e2f4dc680aba8373df272cccdb27ae399d1d97a285a0a31e44a98e9d53f",
+  "head_len": 2,
+  "kind": "%s",
+  "num_edges": 3,
+  "num_vertices": 3,
+  "tail_len": 2,
+  "vertex_codes": [
+    "00",
+    "01",
+    "10"
+  ]
+}
+"""
+
+
 class TestReduce:
     def test_zhang_writes_sample_and_metadata(self, demo5_col, tmp_path):
         out = tmp_path / "z.abb"
@@ -36,13 +63,13 @@ class TestReduce:
         sample = sample_from_abbadingo(out.read_text())
         assert sample.size() == 18  # 7 positives + 11 negatives
         meta = json.loads((tmp_path / "z.abb.meta.json").read_text())
-        assert meta["kind"] == "zhang" and meta["num_vertices"] == 5
+        assert set(meta) == {"kind", "graph_sha256"} and meta["kind"] == "zhang"
 
     def test_binary_records_l(self, demo5_col, tmp_path):
         out = tmp_path / "b.abb"
         assert main(["reduce", "binary", "--graph", demo5_col, "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "b.abb.meta.json").read_text())
-        assert meta["L"] == 57 and meta["K"] is None
+        assert meta["L"] == 57 and "K" not in meta and "N" not in meta
 
     def test_single_writes_run_file(self, k3_col, tmp_path):
         out = tmp_path / "s.abb"
@@ -291,6 +318,41 @@ class TestWitnessExtract:
                      "--dfa", str(w), "--meta", str(tmp_path / "s.abb.meta.json")]) == 0
         assert "num_colors: 3" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["binary", "single"])
+    def test_an_older_sidecar_extracts_as_a_new_one(self, kind, k3_col, tmp_path, capsys):
+        assert main(["reduce", kind, "--graph", k3_col, "--K", "3", "--out", str(tmp_path / "s.abb")]) == 0
+        w = tmp_path / "w.json"
+        assert main(["witness", "--kind", kind, "--graph", k3_col, "--K", "3", "--out", str(w)]) == 0
+        old = tmp_path / "old.meta.json"
+        old.write_text(OLDER_K3_SIDECAR % kind)
+        outs = []
+        for meta in (tmp_path / "s.abb.meta.json", old):
+            capsys.readouterr()
+            assert main(["extract", "--kind", kind, "--graph", k3_col, "--dfa", str(w),
+                         "--meta", str(meta)]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0] == outs[1]
+        assert outs[0].out == "colors: 1 2 3\nnum_colors: 3\n" and outs[0].err == ""
+
+    def test_zhang_warns_that_lengths_and_meta_are_ignored(self, k3_col, tmp_path, capsys):
+        plain, lengths = tmp_path / "plain.json", tmp_path / "lengths.json"
+        assert main(["witness", "--kind", "zhang", "--graph", k3_col, "--K", "3",
+                     "--out", str(plain)]) == 0
+        quiet = capsys.readouterr()
+        assert main(["witness", "--kind", "zhang", "--graph", k3_col, "--K", "3",
+                     "--L", "5", "--N", "7", "--out", str(lengths)]) == 0
+        warned = capsys.readouterr()
+        assert lengths.read_bytes() == plain.read_bytes()
+        assert warned.out == quiet.out.replace("plain", "lengths") and quiet.err == ""
+        assert warned.err == "warning: --L/--N are ignored for the zhang reduction\n"
+        assert main(["extract", "--kind", "zhang", "--graph", k3_col, "--dfa", str(plain)]) == 0
+        quiet = capsys.readouterr()
+        assert main(["extract", "--kind", "zhang", "--graph", k3_col, "--dfa", str(plain),
+                     "--meta", str(tmp_path / "nowhere.json")]) == 0
+        warned = capsys.readouterr()
+        assert warned.out == quiet.out and quiet.err == ""
+        assert warned.err == "warning: --meta is ignored for the zhang reduction\n"
+
     def test_zhang_witness_on_a_long_cycle(self, tmp_path, capsys):
         # the coloring search walks more vertices than the recursion limit
         col = tmp_path / "c1201.col"
@@ -354,6 +416,15 @@ class TestVerify:
         assert captured.out == plain.out
         assert plain.err == ""
         assert captured.err == "warning: --L/--N are ignored for the zhang reduction\n"
+
+    @pytest.mark.parametrize("kind", ["binary", "single"])
+    def test_a_budget_is_ignored_outside_zhang_with_a_warning(self, kind, k3_col, capsys):
+        assert main(["verify", "--kind", kind, "--graph", k3_col, "--K", "3"]) == 0
+        plain = capsys.readouterr()
+        assert main(["verify", "--kind", kind, "--graph", k3_col, "--K", "3", "--budget", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain.out and plain.err == ""
+        assert captured.err == f"warning: --budget is ignored for the {kind} reduction\n"
 
     @pytest.mark.parametrize("kind", ["zhang", "binary"])
     @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
@@ -565,36 +636,32 @@ MALFORMED_DOCUMENTS = [
       for command in ("dot", "extract", "moore", "mealy")
       for patch in ({"states": None}, {"accepting": ["x"]}, {"alphabet": 5}, {"transitions": 5})],
     ("extract", "meta", [1]),
-    ("extract", "meta", {"vertex_codes": 5}),
     ("extract", "meta", {"L": [3]}),
 ]
 # lengths that int() would coerce: a float, a bool and a numeric string
 MALFORMED_LENGTHS = [{"L": 25.9}, {"head_len": True}, {"tail_len": "2"}]
-# k3's codes are 2 bits: a code with a digit other than 0/1, codes given as
-# lists of ints, and a head length the codes do not have
-MALFORMED_CODES = {
-    "vertex_codes-digit": {"vertex_codes": ["00", "02", "10"]},
-    "codes-int-lists": {"vertex_codes": [[0, 0], [0, 1], [1, 0]],
-                        "edge_codes": [[0, 0], [0, 1], [1, 0]]},
-    "head_len-3-2bit-codes": {"head_len": 3},
-}
 
 
-@pytest.mark.parametrize("command, target, patch",
-                         MALFORMED_DOCUMENTS + [("extract", "meta", p) for p in MALFORMED_LENGTHS]
-                         + [("extract", "meta", p) for p in MALFORMED_CODES.values()],
-                         ids=[f"{c}-{t}-{''.join(p) if isinstance(p, dict) else 'array'}"
-                              for c, t, p in MALFORMED_DOCUMENTS]
-                         + [f"extract-meta-{k}-{type(v).__name__}"
-                            for p in MALFORMED_LENGTHS for k, v in p.items()]
-                         + [f"extract-meta-{name}" for name in MALFORMED_CODES])
-def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path, capsys):
+def _binary_k3_with(patch, target, k3_col, tmp_path):
+    """The paths of k3's binary witness and sidecar, `patch` written over
+    the one `target` names."""
     w, meta = tmp_path / "w.json", tmp_path / "b.abb.meta.json"
     main(["reduce", "binary", "--graph", k3_col, "--K", "3", "--out", str(tmp_path / "b.abb")])
     main(["witness", "--kind", "binary", "--graph", k3_col, "--K", "3", "--out", str(w)])
     path = w if target == "dfa" else meta
     doc = json.loads(path.read_text())
     path.write_text(json.dumps({**doc, **patch} if isinstance(patch, dict) else patch))
+    return w, meta
+
+
+@pytest.mark.parametrize("command, target, patch",
+                         MALFORMED_DOCUMENTS + [("extract", "meta", p) for p in MALFORMED_LENGTHS],
+                         ids=[f"{c}-{t}-{''.join(p) if isinstance(p, dict) else 'array'}"
+                              for c, t, p in MALFORMED_DOCUMENTS]
+                         + [f"extract-meta-{k}-{type(v).__name__}"
+                            for p in MALFORMED_LENGTHS for k, v in p.items()])
+def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path, capsys):
+    w, meta = _binary_k3_with(patch, target, k3_col, tmp_path)
     argv = {
         "dot": ["dot", str(w), str(tmp_path / "w.dot")],
         "extract": ["extract", "--kind", "binary", "--graph", k3_col, "--dfa", str(w),
@@ -605,6 +672,16 @@ def test_malformed_json_is_usage_error(command, target, patch, k3_col, tmp_path,
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_head_length_the_witness_does_not_have_fails_extraction(k3_col, tmp_path, capsys):
+    # head_len 3 on k3 is a legal instance, but not the one k3's 2-bit
+    # witness was built for: its codes are rebuilt at 3 bits and miss
+    w, meta = _binary_k3_with({"head_len": 3}, "meta", k3_col, tmp_path)
+    capsys.readouterr()
+    assert main(["extract", "--kind", "binary", "--graph", k3_col, "--dfa", str(w),
+                 "--meta", str(meta)]) == 1
+    assert capsys.readouterr().err.startswith("failed: ")
 
 
 def test_declared_states_beyond_the_listed_transitions_are_rejected_unbuilt(tmp_path, capsys):

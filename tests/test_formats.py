@@ -32,7 +32,6 @@ from dfalab.formats import (
     graph_sha256,
     machine_sample_from_text,
     machine_sample_to_text,
-    metadata_encoding,
     metadata_params,
     reduction_metadata,
     sample_from_abbadingo,
@@ -310,13 +309,13 @@ def test_parser_fails_like_the_reference(sample, data):
     ("3 2\n1 2 1 5\n1 1 -1\n0 3 1 5 0\n", "string (-1,) uses symbols outside alphabet of size 2"),
     ("2 2\n1 2 0 1\n0 2 00 01\n", "1 strings labeled both positive and negative"),
     ("4 3\n1 0\n0 0\n1 1 2\n0 1 02\n", "2 strings labeled both positive and negative"),
-    ("1 0\n1 1 0\n", "alphabet must have at least one symbol"),
+    ("1 0\n1 1 0\n", "alphabet size must be at least 1"),
     # two faults: the parsers report the one the reference checks first
     ("3 2\n7 1 0\n\n1 x\n", "header promises 3 strings, file has 2"),
     ("3 2\n1 1 0\n7 1 1\n1 x\n", "line 3: label must be 0 or 1"),
     ("2 2\n1 3 0 1\n1 1 x\n", "line 2: declared length 3, got 2 symbols"),
     ("3 2\n1 1 5\n1 1 0\n0 1 0\n", "1 strings labeled both positive and negative"),
-    ("2 0\n1 1 0\n0 1 0\n", "alphabet must have at least one symbol"),
+    ("2 0\n1 1 0\n0 1 0\n", "alphabet size must be at least 1"),
 ])
 def test_faulty_files_fail_like_the_reference(text, message):
     assert outcome(ref_sample_from_abbadingo, text) == ("FormatError", message)
@@ -448,24 +447,27 @@ class TestDot:
 class TestMetadata:
     def test_round_trip(self, demo5):
         params = default_params(demo5, 3)
-        enc = make_encoding(demo5, params)
-        meta = reduction_metadata("single", demo5, params, enc)
+        meta = reduction_metadata("single", demo5, params)
         assert metadata_params(meta) == params
-        assert metadata_encoding(meta) == enc
+        assert make_encoding(demo5, metadata_params(meta)) == make_encoding(demo5, params)
         assert meta["graph_sha256"] == graph_sha256(demo5)
 
     def test_masked_fields(self, demo5):
         meta = reduction_metadata("zhang", demo5)
-        assert meta["L"] is None and meta["vertex_codes"] is None
-        with pytest.raises(FormatError, match="missing"):
+        assert set(meta) == {"kind", "graph_sha256"}
+        with pytest.raises(FormatError, match="records no reduction parameters"):
             metadata_params(meta)
 
     def test_binary_without_k(self, demo5):
+        # binary strings do not depend on K or N: the sidecar records neither
         params = default_params(demo5, 1)
-        enc = make_encoding(demo5, params)
-        meta = reduction_metadata("binary", demo5, params, enc, include_kn=False)
-        assert meta["K"] is None and meta["N"] is None
+        meta = reduction_metadata("binary", demo5, params)
+        assert meta == reduction_metadata("binary", demo5, default_params(demo5, 3))
+        assert set(meta) == {"kind", "graph_sha256", "L", "head_len", "tail_len"}
         got = metadata_params(meta)
         assert (got.L, got.head_len, got.tail_len) == (params.L, params.head_len, params.tail_len)
+        assert make_encoding(demo5, got) == make_encoding(demo5, params)
         with pytest.raises(FormatError, match="missing 'K'"):
             metadata_params({**meta, "kind": "single"})
+        with pytest.raises(ValueError, match="^a binary sidecar needs the reduction's params$"):
+            reduction_metadata("binary", demo5)

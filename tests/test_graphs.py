@@ -36,6 +36,14 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, frozenset({(0, 2)}))
 
+    @pytest.mark.parametrize("n", [2.5, True, 0], ids=["float", "bool", "zero"])
+    def test_a_vertex_count_that_is_not_an_int_of_at_least_1_is_refused(self, n):
+        # Graph(2.5, ...) and Graph.edgeless(True) were accepted
+        message = "must be an int" if type(n) is not int else "must be at least 1"
+        for build in (lambda: Graph(n, frozenset()), lambda: Graph.edgeless(n)):
+            with pytest.raises(ValueError, match=f"^num_vertices {message}$"):
+                build()
+
     def test_gnp_is_seed_deterministic(self):
         assert Graph.gnp(6, 0.5, seed=3) == Graph.gnp(6, 0.5, seed=3)
 

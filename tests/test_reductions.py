@@ -69,17 +69,17 @@ class TestParams:
 class TestEncoding:
     def test_demo5_codes(self, demo5):
         enc = make_encoding(demo5, default_params(demo5, 3))
-        assert enc.vertex_strs() == ["000", "001", "010", "011", "100"]
-        assert enc.edge_strs() == ["000", "001", "010", "011", "100", "101"]
+        assert enc.vertex_codes == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0))
+        assert enc.edge_codes == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
 
     def test_single_vertex_padded(self):
         g = Graph.edgeless(1)
         enc = make_encoding(g, default_params(g, 1))
-        assert enc.vertex_strs() == ["0"]
+        assert enc.vertex_codes == ((0,),)
 
     def test_triangle_edge_codes_follow_canonical_order(self, triangle):
         enc = make_encoding(triangle, default_params(triangle, 3))
-        assert enc.edge_strs() == ["00", "01", "10"]
+        assert enc.edge_codes == ((0, 0), (0, 1), (1, 0))
 
     def test_capacity_checked(self, demo5):
         tight = ReductionParams(K=3, L=57, N=229, head_len=2, tail_len=3)
